@@ -187,8 +187,8 @@ int main() {
   std::remove((ckpt + ".tmp").c_str());
 
   const std::string label =
-      std::getenv("SENSEDROID_LABEL") != nullptr
-          ? std::string(std::getenv("SENSEDROID_LABEL"))
+      std::getenv("SENSEDROID_BENCH_LABEL") != nullptr
+          ? std::string(std::getenv("SENSEDROID_BENCH_LABEL"))
           : std::string("checkpoint");
   char line[512];
   std::snprintf(

@@ -299,8 +299,8 @@ int main() {
   obs::attach_registry(nullptr);
 
   const std::string label =
-      std::getenv("SENSEDROID_LABEL") != nullptr
-          ? std::string(std::getenv("SENSEDROID_LABEL"))
+      std::getenv("SENSEDROID_BENCH_LABEL") != nullptr
+          ? std::string(std::getenv("SENSEDROID_BENCH_LABEL"))
           : std::string("gateway");
   char line[256];
   std::snprintf(line, sizeof(line),

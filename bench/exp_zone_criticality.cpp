@@ -7,9 +7,11 @@
 // A fire-front field; the burning zones are marked critical.  Uniform vs
 // criticality-weighted budgets at equal total cost; we report the error
 // in the critical zones vs elsewhere.
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
+#include "exec/campaign_runner.h"
 #include "field/generators.h"
 #include "field/zones.h"
 #include "hierarchy/adaptive.h"
@@ -46,10 +48,12 @@ int main() {
     cfg.coverage = 1.0;
     linalg::Rng rng_u(9000 + t);
     hierarchy::LocalCloud lc_u(truth, grid, cfg, rng_u);
-    const auto uniform = lc_u.gather_uniform(per_zone, rng_u);
+    const auto uniform =
+        exec::ParallelCampaignRunner(lc_u).run_round_uniform(per_zone, rng_u);
     linalg::Rng rng_w(9000 + t);
     hierarchy::LocalCloud lc_w(truth, grid, cfg, rng_w);
-    const auto steered = lc_w.gather(weighted, rng_w);
+    const auto steered =
+        exec::ParallelCampaignRunner(lc_w).run_round(weighted, rng_w);
 
     for (std::size_t z = 0; z < grid.zone_count(); ++z) {
       const bool is_crit =

@@ -224,15 +224,12 @@ bool write_fig4_regime_json() {
     benchmark::DoNotOptimize(cs::solve_ols(support_cols, y));
   });
 
-  // Basis pursuit three ways.  "bp" is the revised simplex from its
-  // crash start; "bp_warm" re-solves the same instance from the previous
+  // Basis pursuit two ways.  "bp" is the revised simplex from its crash
+  // start; "bp_warm" re-solves the same instance from the previous
   // solve's exported basis — the CHS cache-hit path, where the warm
   // basis is accepted and phase 2 terminates after one confirming price
   // (a perturbed-RHS warm basis is generally primal infeasible and falls
-  // back to the crash start, i.e. it measures "bp" again); "bp_tableau"
-  // is the dense-tableau oracle, kept in the trajectory as the baseline
-  // the revised engine is measured against (and run at reps/8: it is
-  // orders of magnitude slower and its median stabilizes quickly).
+  // back to the crash start, i.e. it measures "bp" again).
   const double bp_us = median_solve_us(reps, [&] {
     benchmark::DoNotOptimize(cs::bp_solve(a, y));
   });
@@ -242,12 +239,6 @@ bool write_fig4_regime_json() {
   warm_opts.lp.warm_basis = warm_seed.basis;
   const double bp_warm_us = median_solve_us(reps, [&] {
     benchmark::DoNotOptimize(cs::bp_solve(a, y, warm_opts));
-  });
-
-  cs::BasisPursuitOptions tableau_opts;
-  tableau_opts.lp.engine = cs::SimplexEngine::kTableau;
-  const double bp_tableau_us = median_solve_us(reps / 8, [&] {
-    benchmark::DoNotOptimize(cs::bp_solve(a, y, tableau_opts));
   });
 
   // Appends one JSONL trajectory point per run ($SENSEDROID_BENCH_LABEL
@@ -269,15 +260,15 @@ bool write_fig4_regime_json() {
                "\"fixture\":{\"n\":%zu,\"m\":%zu,\"k\":%zu,\"reps\":%zu},"
                "\"median_us\":{\"omp\":%.3f,\"cosamp\":%.3f,\"iht\":%.3f,"
                "\"chs\":%.3f,\"ols_30x10\":%.3f,\"bp\":%.3f,"
-               "\"bp_warm\":%.3f,\"bp_tableau\":%.3f}}\n",
+               "\"bp_warm\":%.3f}}\n",
                label, n, m, k, reps, omp_us, cosamp_us, iht_us, chs_us,
-               ols_us, bp_us, bp_warm_us, bp_tableau_us);
+               ols_us, bp_us, bp_warm_us);
   std::fclose(f);
   std::printf("fig4 regime (n=%zu m=%zu k=%zu) median us: omp=%.2f "
               "cosamp=%.2f iht=%.2f chs=%.2f ols=%.2f bp=%.2f "
-              "bp_warm=%.2f bp_tableau=%.2f -> %s\n",
+              "bp_warm=%.2f -> %s\n",
               n, m, k, omp_us, cosamp_us, iht_us, chs_us, ols_us, bp_us,
-              bp_warm_us, bp_tableau_us, path.c_str());
+              bp_warm_us, path.c_str());
   return true;
 }
 

@@ -7,6 +7,7 @@
 
 #include "field/generators.h"
 #include "field/zones.h"
+#include "exec/campaign_runner.h"
 #include "hierarchy/adaptive.h"
 #include "hierarchy/localcloud.h"
 #include "hierarchy/publiccloud.h"
@@ -56,7 +57,7 @@ int main() {
         danger, [&alerts](const middleware::Record&) { ++alerts; });
   }
 
-  const auto result = lc.gather(decisions, rng);
+  const auto result = exec::ParallelCampaignRunner(lc).run_round(decisions, rng);
   std::printf(
       "\ngathered %zu readings, field NRMSE %.3f, phones spent %.1f mJ\n",
       result.total_measurements, result.nrmse,

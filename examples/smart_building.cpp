@@ -7,6 +7,7 @@
 #include "context/is_indoor.h"
 #include "field/generators.h"
 #include "field/zones.h"
+#include "exec/campaign_runner.h"
 #include "hierarchy/adaptive.h"
 #include "hierarchy/localcloud.h"
 #include "sensing/signals.h"
@@ -53,7 +54,7 @@ int main() {
         });
   }
 
-  const auto result = lc.gather(decisions, rng);
+  const auto result = exec::ParallelCampaignRunner(lc).run_round(decisions, rng);
   std::printf("floor map: NRMSE %.3f from %zu readings (%zu cells)\n",
               result.nrmse, result.total_measurements, truth.size());
   std::printf("comfort alerts fired: %d\n", comfort_alerts);

@@ -7,7 +7,7 @@
 // alpha = u - v, u,v >= 0, min sum(u+v) s.t. A(u-v) = y: at any optimum at
 // most one of u_i, v_i is nonzero, so sum(u_i + v_i) = |alpha_i| = theta_i
 // — exactly the paper's objective, with M equality constraints instead of
-// M + 2K.  The revised engine (default) never materializes the [A, -A]
+// M + 2K.  The revised simplex never materializes the [A, -A]
 // doubling; see simplex_solve_bp.
 #pragma once
 

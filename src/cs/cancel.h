@@ -11,7 +11,7 @@ namespace sensedroid::cs {
 /// number of solver loops poll it between iterations and return their
 /// current partial solution early.  Cancellation is best-effort: a
 /// solver observes the token at iteration granularity (the simplex
-/// engines poll once per pivot), never mid-factorization.
+/// polls once per pivot), never mid-factorization.
 class CancelToken {
  public:
   void cancel() noexcept { flag_.store(true, std::memory_order_relaxed); }

@@ -3,12 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <memory>
 #include <optional>
 #include <stdexcept>
 
 #include "cs/basis_pursuit.h"
 #include "cs/least_squares.h"
 #include "cs/solver.h"
+#include "linalg/operator.h"
 #include "linalg/updatable_qr.h"
 #include "linalg/vector_ops.h"
 #include "obs/flight_recorder.h"
@@ -332,22 +334,16 @@ struct OperatorChsView {
 
 template <typename View>
 ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
-                   const ChsOptions& opts) {
+                   const ChsOptions& opts, const SparseSolver& refit) {
   const std::size_t m = meas.plan.measurement_count();
 
   obs::ScopedSpan span("cs.chs.reconstruct");
   obs::ScopedTimer timer("cs.chs.solve_us");
 
-  // Step (e)'s coefficient solver comes from the registry:
-  // `refit_solver` names it directly, the legacy Refit enum maps through
-  // as a shim.  Resolved once per call; the solver instance is stateless
-  // and reentrant.  Rank-deficient supports still fall back to a lightly
-  // regularized ridge fit instead of aborting the round.
-  const std::unique_ptr<SparseSolver> refit =
-      SolverRegistry::global().create(
-          !opts.refit_solver.empty()
-              ? std::string_view(opts.refit_solver)
-              : std::string_view(opts.refit == Refit::kGls ? "gls" : "ols"));
+  // Step (e)'s coefficient solver comes from the registry (resolved once
+  // per call by chs_entry; stateless and reentrant).  Rank-deficient
+  // supports still fall back to a lightly regularized ridge fit instead
+  // of aborting the round.
   SolveContext refit_ctx;
   if (meas.noise.size() == m) refit_ctx.noise_stddev = meas.noise.stddev;
   refit_ctx.cancel = opts.cancel;
@@ -365,7 +361,7 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
   // column).  Weighted ("gls" with a noise model) or custom registry
   // solvers, numerically dependent supports, and operator mode take the
   // dense path.
-  const bool cacheable = refit->name() == "ols";
+  const bool cacheable = refit.name() == "ols";
   std::size_t cache_cols_reused = 0;
   // BP refits thread the previous round's optimal basis into the next
   // solve: the support only grows between accepted batches, so every
@@ -376,7 +372,7 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
   // column ids.  While the support is still too small to span y the LP
   // is infeasible; the ridge fallback covers those early rounds.
   const bool bp_refit =
-      refit->name() == "bp" || refit->name() == "basis_pursuit";
+      refit.name() == "bp" || refit.name() == "basis_pursuit";
   std::vector<std::size_t> bp_prev_support;
   std::vector<std::size_t> bp_prev_basis;
   const auto refit_fit = [&](const Matrix& phi_k,
@@ -425,7 +421,7 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
       return cached;
     }
     try {
-      return refit->solve(phi_k, meas.values, refit_ctx).coefficients;
+      return refit.solve(phi_k, meas.values, refit_ctx).coefficients;
     } catch (const std::runtime_error&) {
       const double scale = std::max(phi_k.frobenius_norm(), 1e-12);
       return solve_ridge(phi_k, meas.values, 1e-8 * scale * scale);
@@ -582,7 +578,11 @@ ChsResult chs_entry(std::size_t n, std::size_t basis_cols,
   if (meas.values.size() != m) {
     throw std::invalid_argument("chs_reconstruct: measurement size mismatch");
   }
-  if (opts.refit == Refit::kGls && meas.noise.size() != m) {
+  // Resolved once here: the weighted refit needs one noise stddev per
+  // reading, and must not quietly degrade to an unweighted fit.
+  const std::unique_ptr<SparseSolver> refit =
+      SolverRegistry::global().create(opts.refit_solver);
+  if (refit->name() == "gls" && meas.noise.size() != m) {
     throw std::invalid_argument("chs_reconstruct: noise model size mismatch");
   }
 
@@ -591,7 +591,7 @@ ChsResult chs_entry(std::size_t n, std::size_t basis_cols,
     if (auto screened = mad_screen(meas, opts.mad_threshold, &rejected)) {
       ChsOptions inner = opts;
       inner.mad_threshold = 0.0;  // screen once; recurse for the solve
-      ChsResult res = solve(*screened, inner);
+      ChsResult res = solve(*screened, inner, *refit);
       res.outliers_rejected = rejected;
       res.degraded = true;
       if (obs::attached()) {
@@ -602,7 +602,7 @@ ChsResult chs_entry(std::size_t n, std::size_t basis_cols,
       return res;
     }
   }
-  return solve(meas, opts);
+  return solve(meas, opts, *refit);
 }
 
 }  // namespace
@@ -611,19 +611,27 @@ ChsResult chs_reconstruct(const Matrix& basis, const Measurement& meas,
                           const ChsOptions& opts) {
   const std::size_t n = basis.rows();
   return chs_entry(n, basis.cols(), meas, opts,
-                   [&](const Measurement& mm, const ChsOptions& oo) {
+                   [&](const Measurement& mm, const ChsOptions& oo,
+                       const SparseSolver& refit) {
                      DenseChsView view(basis, mm.plan);
-                     return chs_core(view, n, mm, oo);
+                     return chs_core(view, n, mm, oo, refit);
                    });
 }
 
 ChsResult chs_reconstruct(const linalg::LinearOperator& basis,
                           const Measurement& meas, const ChsOptions& opts) {
+  // A dense operator takes the Matrix path: its view slices the M x N
+  // row matrix once and keeps the incremental-QR refit cache, which the
+  // column-assembling operator view cannot.
+  if (const auto* dense = dynamic_cast<const linalg::DenseOperator*>(&basis)) {
+    return chs_reconstruct(dense->matrix(), meas, opts);
+  }
   const std::size_t n = basis.rows();
   return chs_entry(n, basis.cols(), meas, opts,
-                   [&](const Measurement& mm, const ChsOptions& oo) {
+                   [&](const Measurement& mm, const ChsOptions& oo,
+                       const SparseSolver& refit) {
                      OperatorChsView view(basis, mm.plan);
-                     return chs_core(view, n, mm, oo);
+                     return chs_core(view, n, mm, oo, refit);
                    });
 }
 

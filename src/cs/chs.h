@@ -32,17 +32,6 @@ enum class Interpolation : std::uint8_t {
   kLinear,    ///< linear interpolation between neighboring sampled points
 };
 
-/// Coefficient solver for step (e).
-///
-/// DEPRECATED shim (DESIGN.md §9): kept so existing configs compile, but
-/// new code should name the refit solver through
-/// ChsOptions::refit_solver ("ols", "gls", or any registered name) —
-/// the enum merely maps onto those two registry entries.
-enum class Refit : std::uint8_t {
-  kOls,  ///< eq. 11 — homogeneous sensors (registry name "ols")
-  kGls,  ///< eq. 12 — weight by noise covariance (registry name "gls")
-};
-
 struct ChsOptions {
   /// K budget; 0 = half the measurement count.  Keeping K well below M
   /// preserves overdetermination of eq. 7 — at K == M the refit
@@ -57,12 +46,12 @@ struct ChsOptions {
   /// any spectrum; kNearest/kLinear pre-smooth the residual, which sharpens
   /// atom selection on smooth physical fields but aliases oscillatory ones.
   Interpolation interpolation = Interpolation::kZeroFill;
-  /// Legacy refit selector; consulted only when `refit_solver` is empty.
-  Refit refit = Refit::kOls;
-  /// Registry name of the step-(e) refit solver (SolverRegistry::global());
-  /// empty = derive from the legacy `refit` enum ("ols"/"gls").  The
-  /// rank-deficiency fallback to "ridge" applies regardless of choice.
-  std::string refit_solver;
+  /// Registry name of the step-(e) refit solver (SolverRegistry::global()):
+  /// "ols" (eq. 11, homogeneous sensors), "gls" (eq. 12, weighted by the
+  /// measurement's noise model, which must then cover every reading), or
+  /// any other registered name.  The rank-deficiency fallback to "ridge"
+  /// applies regardless of choice.
+  std::string refit_solver = "ols";
   /// Significance threshold: a coefficient is eligible when its magnitude
   /// is at least this fraction of the current largest one.
   double significance = 0.1;
@@ -104,18 +93,20 @@ struct ChsResult {
 
 /// Runs the Fig. 6 loop.  `basis` is the N x N synthesis basis Phi;
 /// `meas` carries the plan (locations L), values x_S, and the noise model
-/// used when opts.refit == kGls.  Throws std::invalid_argument on
-/// dimension mismatches.
+/// a "gls" refit weights by.  Throws std::invalid_argument on dimension
+/// mismatches (including a "gls" refit whose noise model does not match
+/// the measurement count) and on an unregistered refit solver.
 ChsResult chs_reconstruct(const Matrix& basis, const Measurement& meas,
                           const ChsOptions& opts = {});
 
-/// Operator-core CHS: same Fig. 6 loop against a structured N x N
-/// synthesis operator (e.g. linalg::SubsampledDctOperator with an empty
-/// row list) instead of a materialized basis.  The analyze sweep runs
-/// the operator's fast transform in O(N log N), refits assemble only the
-/// O(K) support columns, and the zone-side state is O(N) instead of the
-/// 8 N^2 bytes of the dense basis.  Column entries are exact, so results
-/// match the dense overload up to near-exact atom-selection ties.
+/// Operator-core CHS: same Fig. 6 loop against an N x N synthesis
+/// operator.  A linalg::DenseOperator runs the Matrix overload on its
+/// matrix (bit-identical, same speed).  A structured operator (e.g.
+/// linalg::SubsampledDctOperator with an empty row list) runs the analyze
+/// sweep as its fast transform in O(N log N), refits on only the O(K)
+/// assembled support columns, and keeps zone-side state at O(N) instead
+/// of the 8 N^2 bytes of the dense basis.  Column entries are exact, so
+/// results match the dense overload up to near-exact atom-selection ties.
 ChsResult chs_reconstruct(const linalg::LinearOperator& basis,
                           const Measurement& meas,
                           const ChsOptions& opts = {});

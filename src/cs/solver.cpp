@@ -130,7 +130,7 @@ class BasisPursuitSolver final : public SparseSolver {
     SinkGuard guard(ctx);
     BasisPursuitOptions o;
     if (ctx.max_iterations) o.lp.max_iterations = ctx.max_iterations;
-    // The simplex engines poll the token once per pivot; a cancelled
+    // The simplex polls the token once per pivot; a cancelled
     // solve yields the zero solution (residual = ||y||), same shape as
     // the other solvers' partial results.
     o.lp.cancel = ctx.cancel;

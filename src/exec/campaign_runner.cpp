@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "field/spatial_field.h"
+#include "obs/flight_recorder.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -20,6 +21,54 @@ namespace {
 // Shards are only worth paying for when there is a process registry to
 // merge them into; detached runs skip the isolation machinery entirely.
 bool observed() { return obs::registry() != nullptr; }
+
+// One zone's health-input series (counters `hier.zone.rounds` /
+// `degraded_rounds` / `failovers` / `radio_failures` / `retries` /
+// `recovered` / `replies` / `requested` / `energy_j`, gauge
+// `hier.zone.nrmse`), all labelled `{zone="<id>"}` — the inputs
+// obs::HealthEngine scores.  No-op when detached.  Flag-like series
+// (degraded/failovers/radio_failures/retries/recovered) only appear once
+// nonzero, keeping un-faulted runs' metric set unchanged.
+void emit_zone_series(std::uint32_t zone,
+                      const hierarchy::GatherResult& res) noexcept {
+  if (!obs::attached()) return;
+  const obs::Labels l{{"zone", std::to_string(zone)}};
+  obs::add_counter("hier.zone.rounds", l, 1.0);
+  obs::add_counter("hier.zone.replies", l,
+                   static_cast<double>(res.m_used));
+  obs::add_counter("hier.zone.requested", l,
+                   static_cast<double>(res.m_requested));
+  obs::add_counter("hier.zone.energy_j", l,
+                   res.node_energy_j + res.stats.broker_energy_j);
+  obs::set_gauge("hier.zone.nrmse", l, res.nrmse);
+  if (res.degraded) obs::add_counter("hier.zone.degraded_rounds", l, 1.0);
+  if (res.failed_over) obs::add_counter("hier.zone.failovers", l, 1.0);
+  if (res.stats.radio_failures > 0) {
+    obs::add_counter("hier.zone.radio_failures", l,
+                     static_cast<double>(res.stats.radio_failures));
+  }
+  if (res.stats.retries > 0) {
+    obs::add_counter("hier.zone.retries", l,
+                     static_cast<double>(res.stats.retries));
+  }
+  if (res.stats.retry_recovered > 0) {
+    obs::add_counter("hier.zone.recovered", l,
+                     static_cast<double>(res.stats.retry_recovered));
+  }
+  if (res.shed) obs::add_counter("hier.zone.shed", l, 1.0);
+}
+
+// Shed accounting for one refused zone (counters `fault.shed.rounds` +
+// `fault.shed.breaker`/`fault.shed.budget`, plus a flight-recorder kShed
+// event), emitted only when a guard actually refused the zone, so benign
+// runs emit nothing new.
+void emit_shed(std::uint32_t zone, fault::ZoneAdmission why) noexcept {
+  const bool budget = why == fault::ZoneAdmission::kShedBudget;
+  obs::fr_record(obs::FrEvent::kShed, zone, budget ? 1.0 : 0.0);
+  if (!obs::attached()) return;
+  obs::add_counter("fault.shed.rounds");
+  obs::add_counter(budget ? "fault.shed.budget" : "fault.shed.breaker");
+}
 
 }  // namespace
 
@@ -50,9 +99,9 @@ hierarchy::RegionalResult ParallelCampaignRunner::run_round(
     cloud.nanocloud(0).config().injector->begin_round();
   }
 
-  // Admission plan on the driver thread, before fan-out, exactly as in
-  // the sequential path — the plan (and thus which zones run) never
-  // depends on worker count or task scheduling.
+  // Admission plan on the driver thread, before any zone runs — the
+  // plan (and thus which zones run) never depends on worker count or
+  // task scheduling.  With no guard (or a disabled one) it is empty.
   std::vector<fault::ZoneAdmission> plan;
   if (cloud.guard() != nullptr && cloud.guard()->enabled()) {
     plan = cloud.guard()->plan_round();
@@ -83,40 +132,51 @@ hierarchy::RegionalResult ParallelCampaignRunner::run_round(
   // worker count.
   const std::uint64_t round_span = obs::TraceContext::current().parent;
 
+  const auto zone_task = [this, shard_metrics, shard_traces, &forks,
+                          &budget](std::size_t id) {
+    ZoneOutcome out;
+    // Rule 2 (isolation): this zone's counters/histograms/spans land in
+    // private shards; nothing floating-point is shared mid-round.
+    std::optional<obs::ScopedMetricShard> bind;
+    if (shard_metrics) {
+      out.shard = std::make_unique<obs::MetricsRegistry>();
+      bind.emplace(out.shard.get());
+    }
+    std::optional<obs::ScopedTraceShard> bind_trace;
+    if (shard_traces) {
+      // Binding the shard also isolates this thread's trace context, so
+      // the driver's main-log span ids cannot leak in as parents: shard
+      // roots stay unparented and merge_from re-parents them under the
+      // round span.
+      out.trace_shard = std::make_unique<obs::TraceLog>();
+      bind_trace.emplace(out.trace_shard.get());
+    }
+    const auto t0 = std::chrono::steady_clock::now();
+    out.result = cloud_->nanocloud(id).gather(budget[id], forks[id]);
+    if (shard_metrics) {
+      const auto dt = std::chrono::steady_clock::now() - t0;
+      obs::observe("hier.zone.gather_us", {{"zone", std::to_string(id)}},
+                   std::chrono::duration<double, std::micro>(dt).count());
+    }
+    return out;
+  };
+
   // Refused zones get no task at all (index keeps the zone alignment):
   // a shed zone must consume no worker, no Rng draws, and no shard.
+  // Without a pool each task runs to completion right here, its
+  // exception (if any) held in the future like a pool task's.
   std::vector<std::optional<std::future<ZoneOutcome>>> futures(z);
   for (std::size_t id = 0; id < z; ++id) {
     if (!admitted(id)) continue;
-    futures[id] = pool_->submit([this, id, shard_metrics, shard_traces,
-                                 &forks, m = budget[id]] {
-      ZoneOutcome out;
-      // Rule 2 (isolation): this zone's counters/histograms/spans land
-      // in private shards; nothing floating-point is shared mid-round.
-      std::optional<obs::ScopedMetricShard> bind;
-      if (shard_metrics) {
-        out.shard = std::make_unique<obs::MetricsRegistry>();
-        bind.emplace(out.shard.get());
-      }
-      std::optional<obs::ScopedTraceShard> bind_trace;
-      if (shard_traces) {
-        // Binding the shard also isolates this thread's trace context,
-        // so the submitter's main-log span ids cannot leak in as
-        // parents: shard roots stay unparented and merge_from
-        // re-parents them under the round span.
-        out.trace_shard = std::make_unique<obs::TraceLog>();
-        bind_trace.emplace(out.trace_shard.get());
-      }
-      const auto t0 = std::chrono::steady_clock::now();
-      out.result = cloud_->nanocloud(id).gather(m, forks[id]);
-      if (shard_metrics) {
-        const auto dt = std::chrono::steady_clock::now() - t0;
-        obs::observe("hier.zone.gather_us",
-                     {{"zone", std::to_string(id)}},
-                     std::chrono::duration<double, std::micro>(dt).count());
-      }
-      return out;
-    });
+    if (pool_ != nullptr) {
+      futures[id] = pool_->submit([&zone_task, id] { return zone_task(id); });
+    } else {
+      std::packaged_task<ZoneOutcome()> task([&zone_task, id] {
+        return zone_task(id);
+      });
+      futures[id] = task.get_future();
+      task();
+    }
   }
 
   // Barrier BEFORE any get(): every task references `forks` and `budget`
@@ -164,10 +224,10 @@ hierarchy::RegionalResult ParallelCampaignRunner::run_round(
         cloud.guard()->record(id, res.m_used == 0 || res.failed_over,
                               res.virtual_s);
       } else {
-        hierarchy::emit_shed(static_cast<std::uint32_t>(id), plan[id]);
+        emit_shed(static_cast<std::uint32_t>(id), plan[id]);
       }
     }
-    hierarchy::emit_zone_series(static_cast<std::uint32_t>(id), res);
+    emit_zone_series(static_cast<std::uint32_t>(id), res);
     out.total_measurements += res.m_used;
     out.node_energy_j += res.node_energy_j;
     out.stats += res.stats;
@@ -180,7 +240,7 @@ hierarchy::RegionalResult ParallelCampaignRunner::run_round(
     cloud.grid().insert(out.reconstruction, id, res.reconstruction);
 
     // Uplink: the NC broker ships its support coefficients to the head
-    // (32 B header + 16 B per coefficient, as in LocalCloud::gather).
+    // (32 B header + 16 B per coefficient).
     const std::size_t bytes = 32 + 16 * res.support_size;
     out.uplink_bytes += bytes;
     out.uplink_energy_j += uplink.tx_energy_j(bytes) +
@@ -188,8 +248,7 @@ hierarchy::RegionalResult ParallelCampaignRunner::run_round(
   }
   out.nrmse = field::field_nrmse(out.reconstruction, cloud.truth());
   if (obs::attached()) {
-    // Same rollup series as the sequential driver, so RunReports from
-    // either path read identically, plus the runner's own accounting.
+    // Regional rollups, plus the runner's own accounting.
     obs::add_counter("hier.localcloud.rounds");
     obs::add_counter("hier.localcloud.zones_gathered",
                      static_cast<double>(z));

@@ -99,19 +99,13 @@ void ResumableCampaign::join_checkpoint_writer(bool rethrow) {
   }
 }
 
-hierarchy::RegionalResult ResumableCampaign::run_one_round(linalg::Rng& rng) {
-  if (pool_ != nullptr) {
-    ParallelCampaignRunner runner(*cloud_, *pool_);
-    return runner.run_round_uniform(config_.budget_per_zone, rng);
-  }
-  return cloud_->gather_uniform(config_.budget_per_zone, rng);
-}
-
 const std::vector<CampaignRoundRow>& ResumableCampaign::run_until(
     linalg::Rng& rng, std::size_t round) {
   const std::size_t stop = std::min(round, config_.rounds);
   while (rounds_done_ < stop) {
-    const hierarchy::RegionalResult res = run_one_round(rng);
+    const hierarchy::RegionalResult res =
+        ParallelCampaignRunner(*cloud_, pool_)
+            .run_round_uniform(config_.budget_per_zone, rng);
     virtual_s_ += config_.period_s + res.virtual_s;
     CampaignRoundRow row;
     row.round = rounds_done_;

@@ -2,10 +2,10 @@
 // that checkpoints itself every N rounds and can be killed and resumed
 // from the latest snapshot with a byte-identical continuation.
 //
-// One class drives BOTH execution paths — sequential LocalCloud::gather
-// when constructed without a pool, ParallelCampaignRunner fan-out when
-// given one — so the kill-and-resume invariant composes with the
-// 1-vs-8-worker invariant: resume at any worker count reproduces the
+// Rounds run through ParallelCampaignRunner — inline on the calling
+// thread when constructed without a pool, fanned out when given one —
+// so the kill-and-resume invariant composes with the worker-count
+// invariant: resume at any worker count (or none) reproduces the
 // uninterrupted run's deterministic RunReport byte for byte.
 //
 // It also owns the degradation ladder: a fault::ZoneGuard (circuit
@@ -51,9 +51,8 @@ class ResumableCampaign {
     fault::GuardOptions guard{};            ///< breaker/shed knobs
   };
 
-  /// `pool == nullptr` runs rounds through LocalCloud::gather on the
-  /// calling thread; otherwise through a ParallelCampaignRunner on the
-  /// pool.  Throws std::invalid_argument on zero rounds/budget or a
+  /// `pool == nullptr` runs every zone inline on the calling thread;
+  /// otherwise zones fan out across the pool.  Throws std::invalid_argument on zero rounds/budget or a
   /// non-positive period (GuardOptions::validate covers the rest).
   ResumableCampaign(hierarchy::LocalCloud& cloud, ThreadPool* pool,
                     const Config& config);
@@ -100,8 +99,6 @@ class ResumableCampaign {
   fault::ZoneGuard& guard() noexcept { return guard_; }
 
  private:
-  hierarchy::RegionalResult run_one_round(linalg::Rng& rng);
-
   /// Joins the in-flight checkpoint write, if any; when `rethrow`, an
   /// I/O failure captured by the writer thread is raised here as
   /// fault::CheckpointError (the destructor joins without rethrowing).

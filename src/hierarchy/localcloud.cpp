@@ -1,13 +1,6 @@
 #include "hierarchy/localcloud.h"
 
-#include <algorithm>
-#include <chrono>
 #include <stdexcept>
-#include <string>
-
-#include "obs/flight_recorder.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace sensedroid::hierarchy {
 
@@ -30,137 +23,6 @@ LocalCloud::LocalCloud(const field::SpatialField& truth,
     zone_config.zone_id = static_cast<std::uint32_t>(id);
     clouds_.emplace_back(zone_truths_[id], zone_config, rng);
   }
-}
-
-RegionalResult LocalCloud::gather(const std::vector<ZoneDecision>& decisions,
-                                  Rng& rng) {
-  if (decisions.size() != clouds_.size()) {
-    throw std::invalid_argument("LocalCloud::gather: decision count mismatch");
-  }
-  std::vector<std::size_t> budget(clouds_.size(), 0);
-  std::vector<bool> seen(clouds_.size(), false);
-  for (const auto& d : decisions) {
-    if (d.zone_id >= clouds_.size() || seen[d.zone_id]) {
-      throw std::invalid_argument("LocalCloud::gather: bad zone ids");
-    }
-    seen[d.zone_id] = true;
-    budget[d.zone_id] = d.measurements;
-  }
-
-  obs::ScopedSpan span("hier.localcloud.gather");
-  RegionalResult out;
-  out.reconstruction =
-      field::SpatialField(grid_.field_width(), grid_.field_height());
-  out.zone_nrmse.resize(clouds_.size(), 0.0);
-
-  // One regional round = one fault round: churn and crash windows evolve
-  // here, not per zone, so every zone sees the same fault epoch.
-  if (!clouds_.empty() && clouds_.front().config().injector != nullptr) {
-    clouds_.front().config().injector->begin_round();
-  }
-
-  // Admission plan before any zone runs (driver thread, zone order).
-  // With no guard (or a disabled one) the plan is empty and the loop is
-  // bit-identical to the pre-guard build.
-  std::vector<fault::ZoneAdmission> plan;
-  if (guard_ != nullptr && guard_->enabled()) plan = guard_->plan_round();
-
-  for (std::size_t id = 0; id < clouds_.size(); ++id) {
-    const bool admitted =
-        plan.empty() || plan[id] == fault::ZoneAdmission::kRun ||
-        plan[id] == fault::ZoneAdmission::kProbe;
-    GatherResult res;
-    if (admitted) {
-      const auto t0 = std::chrono::steady_clock::now();
-      res = clouds_[id].gather(std::max<std::size_t>(budget[id], 1), rng);
-      if (obs::attached()) {
-        const auto dt = std::chrono::steady_clock::now() - t0;
-        obs::observe("hier.zone.gather_us",
-                     {{"zone", std::to_string(id)}},
-                     std::chrono::duration<double, std::micro>(dt).count());
-      }
-      if (!plan.empty()) {
-        guard_->record(id, res.m_used == 0 || res.failed_over,
-                       res.virtual_s);
-      }
-    } else {
-      res = clouds_[id].shed_result(std::max<std::size_t>(budget[id], 1));
-      emit_shed(static_cast<std::uint32_t>(id), plan[id]);
-    }
-    emit_zone_series(static_cast<std::uint32_t>(id), res);
-    out.total_measurements += res.m_used;
-    out.node_energy_j += res.node_energy_j;
-    out.stats += res.stats;
-    out.zone_nrmse[id] = res.nrmse;
-    if (res.failed_over) ++out.failovers;
-    if (res.degraded) ++out.degraded_zones;
-    if (res.shed) ++out.shed_zones;
-    out.outliers_rejected += res.outliers_rejected;
-    out.virtual_s += res.virtual_s;
-    grid_.insert(out.reconstruction, id, res.reconstruction);
-
-    // Uplink: the NC broker ships its support coefficients to the head.
-    const std::size_t bytes = 32 + 16 * res.support_size;
-    out.uplink_bytes += bytes;
-    out.uplink_energy_j +=
-        uplink_.tx_energy_j(bytes) + uplink_.rx_energy_j(bytes);
-  }
-  out.nrmse = field::field_nrmse(out.reconstruction, *truth_);
-  if (obs::attached()) {
-    obs::add_counter("hier.localcloud.rounds");
-    obs::add_counter("hier.localcloud.zones_gathered",
-                     static_cast<double>(clouds_.size()));
-    obs::add_counter("hier.localcloud.uplink_bytes",
-                     static_cast<double>(out.uplink_bytes));
-    obs::observe("hier.localcloud.nrmse", out.nrmse);
-  }
-  return out;
-}
-
-RegionalResult LocalCloud::gather_uniform(std::size_t measurements_per_zone,
-                                          Rng& rng) {
-  std::vector<ZoneDecision> decisions(clouds_.size());
-  for (std::size_t id = 0; id < clouds_.size(); ++id) {
-    decisions[id].zone_id = id;
-    decisions[id].measurements = measurements_per_zone;
-  }
-  return gather(decisions, rng);
-}
-
-void emit_zone_series(std::uint32_t zone, const GatherResult& res) noexcept {
-  if (!obs::attached()) return;
-  const obs::Labels l{{"zone", std::to_string(zone)}};
-  obs::add_counter("hier.zone.rounds", l, 1.0);
-  obs::add_counter("hier.zone.replies", l,
-                   static_cast<double>(res.m_used));
-  obs::add_counter("hier.zone.requested", l,
-                   static_cast<double>(res.m_requested));
-  obs::add_counter("hier.zone.energy_j", l,
-                   res.node_energy_j + res.stats.broker_energy_j);
-  obs::set_gauge("hier.zone.nrmse", l, res.nrmse);
-  if (res.degraded) obs::add_counter("hier.zone.degraded_rounds", l, 1.0);
-  if (res.failed_over) obs::add_counter("hier.zone.failovers", l, 1.0);
-  if (res.stats.radio_failures > 0) {
-    obs::add_counter("hier.zone.radio_failures", l,
-                     static_cast<double>(res.stats.radio_failures));
-  }
-  if (res.stats.retries > 0) {
-    obs::add_counter("hier.zone.retries", l,
-                     static_cast<double>(res.stats.retries));
-  }
-  if (res.stats.retry_recovered > 0) {
-    obs::add_counter("hier.zone.recovered", l,
-                     static_cast<double>(res.stats.retry_recovered));
-  }
-  if (res.shed) obs::add_counter("hier.zone.shed", l, 1.0);
-}
-
-void emit_shed(std::uint32_t zone, fault::ZoneAdmission why) noexcept {
-  const bool budget = why == fault::ZoneAdmission::kShedBudget;
-  obs::fr_record(obs::FrEvent::kShed, zone, budget ? 1.0 : 0.0);
-  if (!obs::attached()) return;
-  obs::add_counter("fault.shed.rounds");
-  obs::add_counter(budget ? "fault.shed.budget" : "fault.shed.breaker");
 }
 
 }  // namespace sensedroid::hierarchy

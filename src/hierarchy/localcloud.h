@@ -34,7 +34,9 @@ struct RegionalResult {
 };
 
 /// A LocalCloud over a regional ground-truth field partitioned by a
-/// ZoneGrid, one NanoCloud per zone.
+/// ZoneGrid, one NanoCloud per zone.  The cloud holds the region's
+/// state; exec::ParallelCampaignRunner drives its rounds (gather every
+/// zone, then stitch at the head).
 class LocalCloud {
  public:
   /// Builds one NC per zone.  `truth` must outlive the cloud.  Each zone's
@@ -47,36 +49,20 @@ class LocalCloud {
   std::size_t zone_count() const noexcept { return clouds_.size(); }
   NanoCloud& nanocloud(std::size_t id) { return clouds_.at(id); }
   const field::ZoneGrid& grid() const noexcept { return grid_; }
-  /// Regional ground truth (what gather() scores nrmse against).
+  /// Regional ground truth (what a round scores nrmse against).
   const field::SpatialField& truth() const noexcept { return *truth_; }
-  /// NC-broker -> head uplink radio model (for external drivers like the
-  /// parallel campaign runner that replicate gather()'s merge phase).
+  /// NC-broker -> head uplink radio model (a round's uplink accounting).
   const sim::LinkModel& uplink_link() const noexcept { return uplink_; }
 
-  /// Attaches (or detaches, with nullptr) the degradation guard: gather()
-  /// then runs its breaker/budget admission plan before the zone loop,
+  /// Attaches (or detaches, with nullptr) the degradation guard: a round
+  /// then runs its breaker/budget admission plan before the zones,
   /// substitutes NanoCloud::shed_result for refused zones, and records
-  /// every admitted zone's outcome back — all on the calling (driver)
-  /// thread in ascending zone order, so admissions are deterministic.
-  /// Non-owning; the guard must outlive the cloud's rounds.  A disabled
-  /// or absent guard leaves gather() bit-identical to pre-guard builds.
+  /// every admitted zone's outcome back — all on the driver thread in
+  /// ascending zone order, so admissions are deterministic.  Non-owning;
+  /// the guard must outlive the cloud's rounds.  A disabled or absent
+  /// guard leaves rounds bit-identical to pre-guard builds.
   void set_guard(fault::ZoneGuard* guard) noexcept { guard_ = guard; }
   fault::ZoneGuard* guard() const noexcept { return guard_; }
-
-  /// Gathers every zone with its decided budget and stitches the region.
-  /// `decisions` must have one entry per zone (any order is accepted but
-  /// ids must cover 0..Z-1 exactly); throws std::invalid_argument
-  /// otherwise.  Uplink traffic models each NC broker shipping its
-  /// support coefficients (16 B per coefficient: index + value) plus a
-  /// 32 B header to the head broker.  When the NC config carries a fault
-  /// injector, each regional round advances it one fault round
-  /// (FaultInjector::begin_round) before gathering — standalone NanoCloud
-  /// drivers must advance the injector themselves.
-  RegionalResult gather(const std::vector<ZoneDecision>& decisions, Rng& rng);
-
-  /// Convenience: uniform budget per zone (the Luo-style non-adaptive
-  /// configuration at equal total cost).
-  RegionalResult gather_uniform(std::size_t measurements_per_zone, Rng& rng);
 
  private:
   const field::SpatialField* truth_;
@@ -89,24 +75,5 @@ class LocalCloud {
   sim::LinkModel uplink_;
   fault::ZoneGuard* guard_ = nullptr;
 };
-
-/// Emits one zone's health-input series (counters `hier.zone.rounds` /
-/// `degraded_rounds` / `failovers` / `radio_failures` / `retries` /
-/// `recovered` / `replies` / `requested` / `energy_j`, gauge
-/// `hier.zone.nrmse`), all labelled `{zone="<id>"}` — the inputs
-/// obs::HealthEngine scores.  No-op when detached.  Called from the
-/// zone-order reduction loops of both gather paths (sequential and
-/// ParallelCampaignRunner) so reports from either path stay identical;
-/// flag-like series (degraded/failovers/radio_failures/retries/
-/// recovered) only appear once nonzero, keeping un-faulted runs' metric
-/// set unchanged.
-void emit_zone_series(std::uint32_t zone, const GatherResult& res) noexcept;
-
-/// Emits the shed accounting for one refused zone (counters
-/// `fault.shed.rounds` + `fault.shed.breaker`/`fault.shed.budget`, plus
-/// a flight-recorder kShed event) — called by both gather paths, in the
-/// same ascending zone order as emit_zone_series, only when a guard
-/// actually refused the zone, so benign runs emit nothing new.
-void emit_shed(std::uint32_t zone, fault::ZoneAdmission why) noexcept;
 
 }  // namespace sensedroid::hierarchy

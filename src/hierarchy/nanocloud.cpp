@@ -17,37 +17,32 @@ namespace {
 constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
 constexpr middleware::NodeId kBrokerId = 1'000'000;
 
-// The zone basis, dense form.  fast_operator mode keeps the matrix
-// empty but must consume the exact same rng draws as the dense branch
-// it replaces, so a campaign toggling the flag sees identical node
-// layouts, tiers, and noise streams downstream.
-linalg::Matrix make_zone_basis(const field::SpatialField& truth,
-                               const NanoCloudConfig& config, Rng& rng) {
-  if (config.fast_operator) {
-    if (config.basis != linalg::BasisKind::kDct) {
-      throw std::invalid_argument(
-          "NanoCloud: fast_operator requires the DCT basis");
-    }
-    if (!config.separable_2d) {
-      (void)rng.next_u64();  // make_basis would have drawn the seed
-    }
-    return linalg::Matrix();
-  }
-  return config.basis == linalg::BasisKind::kDct && config.separable_2d
-             ? linalg::dct2_basis(truth.width(), truth.height())
-             : linalg::make_basis(config.basis, truth.size(),
-                                  rng.next_u64());
-}
+// Zones of up to this many grid points hold their basis as a dense
+// matrix; larger DCT zones hold the fast-transform operator instead.  The
+// crossover is where a whole CHS round (not a single analyze sweep)
+// turns faster on the operator — DESIGN.md §15 has the measurements.
+constexpr std::size_t kDenseBasisMaxPoints = 1024;
 
-std::unique_ptr<linalg::LinearOperator> make_zone_operator(
-    const field::SpatialField& truth, const NanoCloudConfig& config) {
-  if (!config.fast_operator || truth.size() == 0) return nullptr;
-  if (config.separable_2d) {
+// The zone basis.  The operator branch consumes the exact same rng draws
+// as the dense branch it replaces, so node layouts, tiers and noise
+// streams downstream do not depend on the representation.
+std::unique_ptr<linalg::LinearOperator> make_zone_basis(
+    const field::SpatialField& truth, const NanoCloudConfig& config,
+    Rng& rng) {
+  const bool dct = config.basis == linalg::BasisKind::kDct;
+  if (dct && truth.size() > kDenseBasisMaxPoints) {
+    if (config.separable_2d) {
+      return std::make_unique<linalg::SubsampledDctOperator>(
+          truth.width(), truth.height(), std::vector<std::size_t>{});
+    }
+    (void)rng.next_u64();  // make_basis would have drawn the seed
     return std::make_unique<linalg::SubsampledDctOperator>(
-        truth.width(), truth.height(), std::vector<std::size_t>{});
+        truth.size(), std::vector<std::size_t>{});
   }
-  return std::make_unique<linalg::SubsampledDctOperator>(
-      truth.size(), std::vector<std::size_t>{});
+  return std::make_unique<linalg::DenseOperator>(
+      dct && config.separable_2d
+          ? linalg::dct2_basis(truth.width(), truth.height())
+          : linalg::make_basis(config.basis, truth.size(), rng.next_u64()));
 }
 
 }  // namespace
@@ -59,8 +54,7 @@ NanoCloud::NanoCloud(const field::SpatialField& truth,
       broker_(kBrokerId,
               {truth.width() * config.cell_m / 2.0,
                truth.height() * config.cell_m / 2.0}),
-      basis_(make_zone_basis(truth, config, rng)),
-      basis_op_(make_zone_operator(truth, config)) {
+      basis_(make_zone_basis(truth, config, rng)) {
   if (config_.basis == linalg::BasisKind::kDct && config_.separable_2d) {
     config_.chs.grid_height = truth.height();
   }
@@ -316,9 +310,7 @@ GatherResult NanoCloud::reconstruct_readings(
 
   linalg::Vector full;
   if (compressive) {
-    const auto res = basis_op_ != nullptr
-                         ? cs::chs_reconstruct(*basis_op_, meas, config_.chs)
-                         : cs::chs_reconstruct(basis_, meas, config_.chs);
+    const auto res = cs::chs_reconstruct(*basis_, meas, config_.chs);
     full = res.reconstruction;
     out.support_size = res.support.size();
     out.outliers_rejected = res.outliers_rejected;
@@ -355,9 +347,7 @@ double NanoCloud::total_node_energy_j() const noexcept {
 }
 
 std::size_t NanoCloud::basis_state_bytes() const noexcept {
-  return basis_op_ != nullptr
-             ? basis_op_->state_bytes()
-             : basis_.rows() * basis_.cols() * sizeof(double);
+  return basis_->state_bytes();
 }
 
 }  // namespace sensedroid::hierarchy

@@ -18,6 +18,7 @@
 #include "fault/retry.h"
 #include "field/spatial_field.h"
 #include "linalg/basis.h"
+#include "linalg/operator.h"
 #include "linalg/random.h"
 #include "middleware/broker.h"
 #include "middleware/node.h"
@@ -43,20 +44,12 @@ struct NanoCloudConfig {
   /// 2-D smooth, so this is strictly better than the 1-D DCT of the
   /// stacked vector; disable only for ablation.
   bool separable_2d = true;
-  /// Hold the zone basis as a structured fast-transform operator
-  /// (linalg::SubsampledDctOperator) instead of a materialized N x N
-  /// matrix: O(N) state per zone and O(N log N) analyze sweeps, the
-  /// scaling mode for large grids.  Requires basis == kDct (1-D or
-  /// separable 2-D); any other basis throws std::invalid_argument at
-  /// construction.  Reconstructions match the dense basis up to
-  /// near-exact atom-selection ties.  Default off (seed behavior).
-  bool fast_operator = false;
   /// Reconstruction options.  Defaults: linear Upsilon interpolation —
   /// physical spatial fields are smooth, and pre-smoothing the residual
   /// makes atom selection reliable even at tiny budgets — and GLS refit
   /// because phone fleets are heterogeneous.
   cs::ChsOptions chs{.interpolation = cs::Interpolation::kLinear,
-                     .refit = cs::Refit::kGls};
+                     .refit_solver = "gls"};
   /// Add infrastructure sensors on cells without phone coverage.
   bool infrastructure_backfill = false;
   /// Battery capacity per phone in joules (default: 2014-era handset).
@@ -142,8 +135,9 @@ class NanoCloud {
   /// Total energy drawn by all member phones so far.
   double total_node_energy_j() const noexcept;
 
-  /// Bytes this zone holds to represent its basis: 8 N^2 for the dense
-  /// matrix, O(N) in fast_operator mode (the E25 memory axis).
+  /// Bytes this zone holds to represent its basis: 8 N^2 for a dense
+  /// matrix (N <= 1024 or a non-DCT basis), O(N) for the fast-DCT
+  /// operator larger DCT zones hold (the E25 memory axis).
   std::size_t basis_state_bytes() const noexcept;
 
  private:
@@ -169,8 +163,8 @@ class NanoCloud {
   std::vector<middleware::MobileNode> nodes_;
   std::vector<std::size_t> covered_;          ///< cells with a node
   std::vector<std::size_t> cell_to_node_;     ///< cell -> index or npos
-  linalg::Matrix basis_;  ///< empty in fast_operator mode
-  std::unique_ptr<linalg::LinearOperator> basis_op_;  ///< set iff fast_operator
+  /// Synthesis basis, representation chosen by zone size (never null).
+  std::unique_ptr<linalg::LinearOperator> basis_;
 };
 
 }  // namespace sensedroid::hierarchy

@@ -1,12 +1,13 @@
 // Batch-of-signals solving and structured operators (DESIGN.md §15):
 // the blocked A^T R kernel, the fast-DCT subsampled operator against its
 // dense twin, batch-vs-sequential equality for every registry solver,
-// operator-core CHS, and the NanoCloud fast_operator mode.
+// operator-core CHS, and the NanoCloud's size-chosen basis.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <memory>
 #include <span>
 #include <stdexcept>
 #include <vector>
@@ -430,40 +431,58 @@ TEST(ChsOperator, ValidatesNonSquareOperator) {
   EXPECT_THROW(sc::chs_reconstruct(*sub, meas, {}), std::invalid_argument);
 }
 
-// ------------------------------------------------ NanoCloud operator ----
+// ---------------------------------------------------- NanoCloud basis ----
 
-TEST(NanoCloudFastOperator, MatchesDenseBasisGather) {
+// A zone's basis representation follows its size, so the operator core
+// must compute what the dense basis would: on one zone measurement, with
+// the NanoCloud's reconstruction options (GLS refit over heterogeneous
+// noise, linear Upsilon), operator CHS matches dense CHS.
+TEST(NanoCloudBasis, OperatorChsMatchesDenseOnZoneMeasurement) {
   sl::Rng field_rng(110);
   const auto zone = sf::random_plume_field(16, 16, 2, field_rng, 20.0);
-
-  auto run = [&](bool fast, bool separable) {
-    sh::NanoCloudConfig cfg;
-    cfg.coverage = 1.0;
-    cfg.separable_2d = separable;
-    cfg.fast_operator = fast;
-    sl::Rng rng(111);
-    sh::NanoCloud nc(zone, cfg, rng);
-    auto res = nc.gather(100, rng);
-    return std::pair<double, std::size_t>{res.nrmse, nc.basis_state_bytes()};
-  };
+  const std::size_t w = zone.width(), h = zone.height(), n = zone.size();
+  sl::Rng rng(111);
+  auto plan = sc::MeasurementPlan::random(n, 100, rng);
+  auto noise = sc::SensorNoise::heterogeneous(100, 0.01, 0.3, rng);
+  const auto meas =
+      sc::measure(zone.flat(), std::move(plan), std::move(noise), rng);
 
   for (bool separable : {true, false}) {
-    const auto [dense_nrmse, dense_bytes] = run(false, separable);
-    const auto [fast_nrmse, fast_bytes] = run(true, separable);
-    // Same rng seed and identical draw sequence: the gathers see the same
-    // nodes and noise, so only near-exact atom ties could separate them.
-    EXPECT_NEAR(fast_nrmse, dense_nrmse, 1e-8) << "separable=" << separable;
-    EXPECT_EQ(dense_bytes, std::size_t{256 * 256 * sizeof(double)});
-    EXPECT_LT(fast_bytes, dense_bytes / 10) << "separable=" << separable;
+    sc::ChsOptions opts = sh::NanoCloudConfig{}.chs;
+    if (separable) opts.grid_height = h;  // as NanoCloud sets it
+    const auto dense = sc::chs_reconstruct(
+        separable ? sl::dct2_basis(w, h) : sl::dct_basis(n), meas, opts);
+    const auto op =
+        separable ? std::make_unique<sl::SubsampledDctOperator>(
+                        w, h, std::vector<std::size_t>{})
+                  : std::make_unique<sl::SubsampledDctOperator>(
+                        n, std::vector<std::size_t>{});
+    const auto fast = sc::chs_reconstruct(*op, meas, opts);
+    EXPECT_EQ(fast.support, dense.support) << "separable=" << separable;
+    EXPECT_LE(max_abs_diff(fast.reconstruction, dense.reconstruction), 1e-8)
+        << "separable=" << separable;
   }
 }
 
-TEST(NanoCloudFastOperator, RequiresDctBasis) {
+TEST(NanoCloudBasis, RepresentationFollowsZoneSize) {
   sl::Rng field_rng(112);
-  const auto zone = sf::random_plume_field(8, 8, 1, field_rng, 20.0);
+  const auto at_crossover =
+      sf::random_plume_field(32, 32, 2, field_rng, 20.0);  // n = 1024
+  const auto above = sf::random_plume_field(64, 32, 2, field_rng, 20.0);
   sh::NanoCloudConfig cfg;
-  cfg.basis = sl::BasisKind::kHaar;
-  cfg.fast_operator = true;
+  cfg.coverage = 1.0;
+  cfg.cell_m = 1.0;  // keep the 64 x 32 zone inside one WiFi cell
   sl::Rng rng(113);
-  EXPECT_THROW(sh::NanoCloud(zone, cfg, rng), std::invalid_argument);
+
+  // Up to n = 1024 the zone holds the dense basis: 8 n^2 bytes.
+  const sh::NanoCloud dense_zone(at_crossover, cfg, rng);
+  EXPECT_EQ(dense_zone.basis_state_bytes(),
+            std::size_t{1024 * 1024 * sizeof(double)});
+
+  // Beyond it, the fast-DCT operator: O(n) state, and rounds still run.
+  sh::NanoCloud fast_zone(above, cfg, rng);
+  EXPECT_LT(fast_zone.basis_state_bytes(), 64 * above.size());
+  const auto res = fast_zone.gather(400, rng);
+  EXPECT_GT(res.m_used, 300u);
+  EXPECT_LT(res.nrmse, 0.1);
 }

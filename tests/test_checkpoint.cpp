@@ -6,6 +6,8 @@
 // RunReport byte-identical to an uninterrupted run, at 1 worker and 8.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cstdint>
 #include <cstdio>
 #include <memory>
@@ -13,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/campaign_runner.h"
 #include "exec/resumable.h"
 #include "exec/thread_pool.h"
 #include "fault/breaker.h"
@@ -35,9 +38,13 @@ namespace so = sensedroid::obs;
 
 namespace {
 
+// Per-process file names: the plain suite and its sanitizer twins run
+// these tests concurrently under `ctest -j`, and must not remove each
+// other's checkpoints mid-test.
 std::string tmp_path(const char* name) {
   const char* dir = std::getenv("TMPDIR");
-  return std::string(dir != nullptr ? dir : "/tmp") + "/" + name;
+  return std::string(dir != nullptr ? dir : "/tmp") + "/" +
+         std::to_string(::getpid()) + "_" + name;
 }
 
 // ------------------------------------------------------------ codec unit
@@ -487,11 +494,14 @@ TEST(CrashSafety, KillAndResumeIsByteIdenticalEightWorkers) {
   expect_same(uninterrupted, run_killed_and_resumed(8, 8));
   // The invariants compose: a campaign killed on ONE worker and resumed
   // on EIGHT matches an uninterrupted 8-worker run — the §9 worker-count
-  // invariant survives a mid-campaign snapshot boundary.  (The pool-less
-  // LocalCloud::gather path is its own lane — it doesn't emit the
-  // exec.runner.* series — so cross-resume identity is a runner-path
-  // guarantee, covered sequentially by the test above.)
+  // invariant survives a mid-campaign snapshot boundary.
   expect_same(uninterrupted, run_killed_and_resumed(1, 8));
+}
+
+TEST(CrashSafety, NoPoolCheckpointResumesOnEightWorkersByteIdentical) {
+  // A pool-less campaign runs its zones inline through the same runner
+  // code, so its checkpoint is a valid mid-point of the 8-worker run.
+  expect_same(run_uninterrupted(8), run_killed_and_resumed(0, 8));
 }
 
 TEST(CrashSafety, RestoreRejectsSnapshotFromForeignWorldShape) {
@@ -525,7 +535,8 @@ TEST(CrashSafety, BenignDriverMatchesDirectCampaign) {
     w->cloud->set_guard(nullptr);   // detach make_world's armed ladder
     CampaignResult out;
     for (int round = 0; round < 7; ++round) {
-      const auto res = w->cloud->gather_uniform(20, w->rng);
+      const auto res = se::ParallelCampaignRunner(*w->cloud)
+                           .run_round_uniform(20, w->rng);
       se::CampaignRoundRow row;
       row.nrmse = res.nrmse;
       row.measurements = res.total_measurements;

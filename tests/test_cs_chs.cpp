@@ -8,6 +8,7 @@
 #include "cs/chs.h"
 #include "cs/error_model.h"
 #include "linalg/basis.h"
+#include "linalg/operator.h"
 #include "linalg/random.h"
 #include "linalg/vector_ops.h"
 
@@ -123,8 +124,8 @@ TEST(Chs, GlsBeatsOlsUnderHeterogeneousNoise) {
     // Wildly heterogeneous phone quality.
     auto noise = sc::SensorNoise::heterogeneous(m, 0.001, 1.0, rng);
     auto meas = sc::measure(x, plan, noise, rng);
-    sc::ChsOptions ols_opts{.max_support = k, .refit = sc::Refit::kOls};
-    sc::ChsOptions gls_opts{.max_support = k, .refit = sc::Refit::kGls};
+    sc::ChsOptions ols_opts{.max_support = k, .refit_solver = "ols"};
+    sc::ChsOptions gls_opts{.max_support = k, .refit_solver = "gls"};
     ols_total += sl::nrmse(sc::chs_reconstruct(basis, meas, ols_opts)
                                .reconstruction, x);
     gls_total += sl::nrmse(sc::chs_reconstruct(basis, meas, gls_opts)
@@ -181,6 +182,25 @@ TEST(Chs, ValidatesDimensions) {
   auto plan = sc::MeasurementPlan::random(8, 4, rng);
   auto meas = sc::measure_exact(x, plan);
   EXPECT_THROW(sc::chs_reconstruct(basis, meas), std::invalid_argument);
+}
+
+// A "gls" refit weights every reading by its noise stddev, so a noise
+// model that does not cover the measurement is an input error — not a
+// silent fall back to the unweighted fit.
+TEST(Chs, GlsRefitRejectsMismatchedNoiseModel) {
+  const std::size_t n = 16;
+  auto basis = sl::dct_basis(n);
+  sl::Rng rng(114);
+  sl::Vector x(n, 1.0);
+  auto meas = sc::measure_exact(x, sc::MeasurementPlan::random(n, 8, rng));
+  meas.noise = sc::SensorNoise::homogeneous(5, 0.1);  // 5 sigmas, 8 readings
+  sc::ChsOptions gls;
+  gls.refit_solver = "gls";
+  EXPECT_THROW(sc::chs_reconstruct(basis, meas, gls), std::invalid_argument);
+  sl::SubsampledDctOperator op(n, {});
+  EXPECT_THROW(sc::chs_reconstruct(op, meas, gls), std::invalid_argument);
+  // The unweighted refit never reads the noise model.
+  EXPECT_NO_THROW(sc::chs_reconstruct(basis, meas, {}));
 }
 
 TEST(Chs, InterpolationChoicesAllRecoverSmoothFields) {

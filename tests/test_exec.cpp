@@ -8,6 +8,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
@@ -375,7 +376,7 @@ struct CampaignRun {
 };
 
 CampaignRun run_parallel_campaign(std::size_t workers,
-                                  const std::string& refit_solver = "") {
+                                  const std::string& refit_solver = "gls") {
   sfl::FaultPlan plan;
   plan.seed = 77;
   plan.link.p_good_to_bad = 0.1;
@@ -402,8 +403,10 @@ CampaignRun run_parallel_campaign(std::size_t workers,
 
   sl::Rng rng(7);
   sh::LocalCloud cloud(truth, grid, cfg, rng);
-  se::ThreadPool pool(workers);
-  se::ParallelCampaignRunner runner(cloud, pool);
+  // workers == 0: no pool, every zone task runs inline on this thread.
+  std::unique_ptr<se::ThreadPool> pool;
+  if (workers > 0) pool = std::make_unique<se::ThreadPool>(workers);
+  se::ParallelCampaignRunner runner(cloud, pool.get());
 
   CampaignRun out;
   for (int round = 0; round < 3; ++round) {
@@ -443,6 +446,21 @@ TEST(ParallelCampaign, OneWorkerAndEightWorkersAreByteIdentical) {
   // fixture would make the invariant vacuous.
   EXPECT_GT(serial.stats.radio_failures, 0u);
   EXPECT_GT(serial.stats.retries, 0u);
+}
+
+// The pool-less runner is the sequential driver: the same fork, shard
+// and merge code run inline, so it lands on the same bytes as 8 workers.
+TEST(ParallelCampaign, NoPoolAndEightWorkersAreByteIdentical) {
+  const CampaignRun inline_run = run_parallel_campaign(0);
+  const CampaignRun parallel = run_parallel_campaign(8);
+  EXPECT_EQ(inline_run.report_json, parallel.report_json);
+  ASSERT_EQ(inline_run.nrmse.size(), parallel.nrmse.size());
+  for (std::size_t i = 0; i < inline_run.nrmse.size(); ++i) {
+    EXPECT_EQ(inline_run.nrmse[i], parallel.nrmse[i]);  // bit-identical
+    EXPECT_EQ(inline_run.measurements[i], parallel.measurements[i]);
+  }
+  EXPECT_EQ(inline_run.stats.retries, parallel.stats.retries);
+  EXPECT_GT(inline_run.stats.radio_failures, 0u);
 }
 
 // Same invariant with the LP refit: the revised simplex (warm-started

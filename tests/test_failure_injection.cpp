@@ -5,12 +5,14 @@
 
 #include <stdexcept>
 
+#include "exec/campaign_runner.h"
 #include "field/generators.h"
 #include "hierarchy/localcloud.h"
 #include "hierarchy/nanocloud.h"
 #include "middleware/broker.h"
 #include "middleware/node.h"
 
+namespace se = sensedroid::exec;
 namespace sh = sensedroid::hierarchy;
 namespace sf = sensedroid::field;
 namespace sl = sensedroid::linalg;
@@ -139,7 +141,7 @@ TEST(FailureInjection, LocalCloudSurvivesZoneWithLowCoverage) {
   sh::NanoCloudConfig cfg;
   cfg.coverage = 0.15;  // sparse crowd everywhere
   sh::LocalCloud lc(f, grid, cfg, rng);
-  const auto res = lc.gather_uniform(30, rng);
+  const auto res = se::ParallelCampaignRunner(lc).run_round_uniform(30, rng);
   EXPECT_EQ(res.zone_nrmse.size(), 4u);
   for (double e : res.zone_nrmse) {
     EXPECT_TRUE(std::isfinite(e));

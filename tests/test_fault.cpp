@@ -8,6 +8,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "exec/campaign_runner.h"
 #include "fault/fault.h"
 #include "fault/retry.h"
 #include "field/generators.h"
@@ -17,6 +18,7 @@
 #include "middleware/node.h"
 #include "sensing/sensor.h"
 
+namespace se = sensedroid::exec;
 namespace sfl = sensedroid::fault;
 namespace sh = sensedroid::hierarchy;
 namespace sf = sensedroid::field;
@@ -573,12 +575,12 @@ TEST(FaultCampaign, LocalCloudRoutesCrashWindowsByZoneAndAggregates) {
   cfg.injector = &inj;
   sh::LocalCloud lc(f, grid, cfg, rng);
 
-  // LocalCloud::gather advances the injector itself: round 1 crashes
-  // zone 2 only.
-  const auto r1 = lc.gather_uniform(30, rng);
+  // The round advances the injector itself: round 1 crashes zone 2 only.
+  se::ParallelCampaignRunner runner(lc);
+  const auto r1 = runner.run_round_uniform(30, rng);
   EXPECT_EQ(r1.failovers, 1u);
   EXPECT_EQ(r1.degraded_zones, 1u);
-  const auto r2 = lc.gather_uniform(30, rng);
+  const auto r2 = runner.run_round_uniform(30, rng);
   EXPECT_EQ(r2.failovers, 0u);
   EXPECT_TRUE(std::isfinite(r1.nrmse));
 }

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <stdexcept>
 
+#include "exec/campaign_runner.h"
 #include "baselines/cdg_luo.h"
 #include "baselines/dense_gathering.h"
 #include "baselines/solo_sensing.h"
@@ -16,6 +17,7 @@
 #include "hierarchy/nanocloud.h"
 #include "hierarchy/publiccloud.h"
 
+namespace se = sensedroid::exec;
 namespace sh = sensedroid::hierarchy;
 namespace sb = sensedroid::baselines;
 namespace sf = sensedroid::field;
@@ -190,7 +192,7 @@ TEST(LocalCloud, GathersAndStitchesRegion) {
   cfg.coverage = 1.0;
   sh::LocalCloud lc(f, grid, cfg, rng);
   EXPECT_EQ(lc.zone_count(), 4u);
-  auto res = lc.gather_uniform(40, rng);
+  auto res = se::ParallelCampaignRunner(lc).run_round_uniform(40, rng);
   EXPECT_LT(res.nrmse, 0.1);
   EXPECT_GT(res.total_measurements, 100u);
   EXPECT_GT(res.uplink_bytes, 0u);
@@ -216,10 +218,13 @@ TEST(LocalCloud, AdaptiveBeatsUniformAtEqualBudget) {
     sh::NanoCloudConfig cfg;
     cfg.coverage = 1.0;
     sh::LocalCloud lc(f, grid, cfg, rng);
-    adaptive_err += lc.gather(decisions, rng).nrmse;
+    adaptive_err +=
+        se::ParallelCampaignRunner(lc).run_round(decisions, rng).nrmse;
     sl::Rng rng2(100 + t);
     sh::LocalCloud lc2(f, grid, cfg, rng2);
-    uniform_err += lc2.gather_uniform(per_zone, rng2).nrmse;
+    uniform_err +=
+        se::ParallelCampaignRunner(lc2).run_round_uniform(per_zone, rng2)
+            .nrmse;
   }
   EXPECT_LT(adaptive_err, uniform_err);
 }
@@ -232,10 +237,11 @@ TEST(LocalCloud, ValidatesDecisions) {
   cfg.coverage = 1.0;
   sh::LocalCloud lc(f, grid, cfg, rng);
   std::vector<sh::ZoneDecision> bad(3);
-  EXPECT_THROW(lc.gather(bad, rng), std::invalid_argument);
+  se::ParallelCampaignRunner runner(lc);
+  EXPECT_THROW(runner.run_round(bad, rng), std::invalid_argument);
   std::vector<sh::ZoneDecision> dup(4);
   for (auto& d : dup) d.zone_id = 0;
-  EXPECT_THROW(lc.gather(dup, rng), std::invalid_argument);
+  EXPECT_THROW(runner.run_round(dup, rng), std::invalid_argument);
 }
 
 // --------------------------------------------------------- PublicCloud ----
@@ -343,7 +349,7 @@ TEST(Integration, FullStackFieldSenseMaking) {
   cfg.coverage = 0.95;
   cfg.infrastructure_backfill = true;
   sh::LocalCloud lc(f, grid, cfg, rng);
-  auto regional = lc.gather(decisions, rng);
+  auto regional = se::ParallelCampaignRunner(lc).run_round(decisions, rng);
   EXPECT_LT(regional.nrmse, 0.15);
 
   sh::PublicCloud cloud(16, 16);

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 
+#include "exec/campaign_runner.h"
 #include "context/is_indoor.h"
 #include "field/generators.h"
 #include "hierarchy/adaptive.h"
@@ -15,6 +16,7 @@
 #include "scheduling/adaptive_sampling.h"
 #include "scheduling/multi_radio.h"
 
+namespace se = sensedroid::exec;
 namespace sh = sensedroid::hierarchy;
 namespace sf = sensedroid::field;
 namespace sl = sensedroid::linalg;
@@ -38,8 +40,10 @@ TEST(EndToEnd, TwoRegionsAssembleIntoOneGlobalPicture) {
 
   sh::LocalCloud lc_west(west, grid, cfg, rng);
   sh::LocalCloud lc_east(east, grid, cfg, rng);
-  const auto res_west = lc_west.gather_uniform(40, rng);
-  const auto res_east = lc_east.gather_uniform(40, rng);
+  const auto res_west =
+      se::ParallelCampaignRunner(lc_west).run_round_uniform(40, rng);
+  const auto res_east =
+      se::ParallelCampaignRunner(lc_east).run_round_uniform(40, rng);
 
   sh::PublicCloud cloud(32, 16);
   cloud.integrate({0, 0}, res_west.reconstruction, 1.0);
@@ -65,7 +69,8 @@ TEST(EndToEnd, HotspotDetectionTriggersCriticalityReplanning) {
   cfg.coverage = 1.0;
 
   sh::LocalCloud lc(truth, grid, cfg, rng);
-  const auto round1 = lc.gather_uniform(12, rng);
+  se::ParallelCampaignRunner runner(lc);
+  const auto round1 = runner.run_round_uniform(12, rng);
 
   // Find the hottest zone in the *reconstruction* (not the truth).
   std::size_t hottest = 0;
@@ -84,7 +89,7 @@ TEST(EndToEnd, HotspotDetectionTriggersCriticalityReplanning) {
   policies[hottest].criticality = 4.0;
   const auto decisions = sh::decide_budgets_live(
       truth, grid, sl::BasisKind::kDct, policies);
-  const auto round2 = lc.gather(decisions, rng);
+  const auto round2 = runner.run_round(decisions, rng);
   EXPECT_LT(round2.zone_nrmse[hottest], round1.zone_nrmse[hottest]);
 }
 

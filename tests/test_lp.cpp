@@ -17,6 +17,7 @@
 #include "linalg/random.h"
 #include "linalg/updatable_lu.h"
 #include "linalg/vector_ops.h"
+#include "lp_oracle.h"
 
 namespace {
 
@@ -130,20 +131,12 @@ TEST(UpdatableLu, DetectsSingularFactorAndUpdate) {
 
 // ------------------------------------------------------ revised simplex ----
 
-sc::SimplexOptions engine_opts(sc::SimplexEngine e) {
-  sc::SimplexOptions o;
-  o.engine = e;
-  return o;
-}
-
 TEST(RevisedSimplex, MatchesTableauOnTextbookProblem) {
   sc::LpProblem p;
   p.a = Matrix{{1, 0, 1, 0, 0}, {0, 2, 0, 1, 0}, {3, 2, 0, 0, 1}};
   p.b = {4, 12, 18};
   p.c = {-3, -5, 0, 0, 0};
-  for (const auto engine :
-       {sc::SimplexEngine::kRevised, sc::SimplexEngine::kTableau}) {
-    const auto sol = sc::simplex_solve(p, engine_opts(engine));
+  for (const auto& sol : {sc::simplex_solve(p), sc::oracle::tableau_solve(p)}) {
     ASSERT_EQ(sol.status, sc::LpStatus::kOptimal);
     EXPECT_NEAR(sol.objective, -36.0, 1e-9);
     EXPECT_NEAR(sol.x[0], 2.0, 1e-9);
@@ -157,8 +150,7 @@ TEST(RevisedSimplex, DetectsInfeasible) {
   p.a = Matrix{{1, 0}, {1, 0}};
   p.b = {1, 2};
   p.c = {1, 1};
-  const auto sol =
-      sc::simplex_solve(p, engine_opts(sc::SimplexEngine::kRevised));
+  const auto sol = sc::simplex_solve(p);
   EXPECT_EQ(sol.status, sc::LpStatus::kInfeasible);
 }
 
@@ -167,8 +159,7 @@ TEST(RevisedSimplex, DetectsUnbounded) {
   p.a = Matrix{{1, -1}};
   p.b = {0};
   p.c = {-1, 0};
-  const auto sol =
-      sc::simplex_solve(p, engine_opts(sc::SimplexEngine::kRevised));
+  const auto sol = sc::simplex_solve(p);
   EXPECT_EQ(sol.status, sc::LpStatus::kUnbounded);
 }
 
@@ -201,14 +192,11 @@ TEST(RevisedSimplex, CancelTokenStopsTheSolve) {
   for (double& v : y) v = rng.gaussian();
   sc::CancelToken cancel;
   cancel.cancel();
-  for (const auto engine :
-       {sc::SimplexEngine::kRevised, sc::SimplexEngine::kTableau}) {
-    sc::SimplexOptions o;
-    o.engine = engine;
-    o.cancel = &cancel;
-    const auto sol = sc::simplex_solve_bp(a, y, o);
-    EXPECT_EQ(sol.status, sc::LpStatus::kCancelled);
-  }
+  sc::SimplexOptions o;
+  o.cancel = &cancel;
+  EXPECT_EQ(sc::simplex_solve_bp(a, y, o).status, sc::LpStatus::kCancelled);
+  EXPECT_EQ(sc::oracle::tableau_solve_bp(a, y, o).status,
+            sc::LpStatus::kCancelled);
 }
 
 TEST(RevisedSimplex, BasisRoundTripResolvesWithoutPivots) {
@@ -267,10 +255,8 @@ TEST(RevisedSimplex, AgreesWithTableauOnRandomFeasibleLps) {
     p.c.assign(n, 0.0);
     for (double& cj : p.c) cj = rng.uniform(0.0, 3.0);
 
-    const auto rev =
-        sc::simplex_solve(p, engine_opts(sc::SimplexEngine::kRevised));
-    const auto tab =
-        sc::simplex_solve(p, engine_opts(sc::SimplexEngine::kTableau));
+    const auto rev = sc::simplex_solve(p);
+    const auto tab = sc::oracle::tableau_solve(p);
     ASSERT_EQ(rev.status, tab.status) << "seed " << seed;
     ASSERT_EQ(rev.status, sc::LpStatus::kOptimal) << "seed " << seed;
     EXPECT_NEAR(rev.objective, tab.objective, 1e-8) << "seed " << seed;
@@ -289,9 +275,7 @@ TEST(RevisedSimplex, BpEnginesAgreeOnRandomSparseInstances) {
     const Vector y = a * random_sparse(n, k, rng);
 
     const auto rev = sc::simplex_solve_bp(a, y);
-    sc::SimplexOptions tab_opts;
-    tab_opts.engine = sc::SimplexEngine::kTableau;
-    const auto tab = sc::simplex_solve_bp(a, y, tab_opts);
+    const auto tab = sc::oracle::tableau_solve_bp(a, y);
     ASSERT_EQ(rev.status, sc::LpStatus::kOptimal) << "seed " << seed;
     ASSERT_EQ(tab.status, sc::LpStatus::kOptimal) << "seed " << seed;
     EXPECT_NEAR(rev.objective, tab.objective, 1e-8) << "seed " << seed;
