@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <stdexcept>
@@ -21,22 +23,32 @@ namespace sensedroid::cs {
 
 using linalg::norm2;
 
-Vector interpolate_to_grid(std::span<const double> values,
-                           std::span<const std::size_t> locations,
-                           std::size_t n, Interpolation kind) {
-  if (values.size() != locations.size()) {
-    throw std::invalid_argument("interpolate_to_grid: size mismatch");
+UpsilonStencil::UpsilonStencil(std::span<const std::size_t> locations,
+                               std::size_t n, std::size_t grid_height,
+                               Interpolation kind)
+    : points_(n), samples_(locations.size()) {
+  const std::size_t m = locations.size();
+  if (m > std::numeric_limits<std::uint32_t>::max()) {
+    throw std::invalid_argument("UpsilonStencil: too many samples");
   }
-  Vector out(n, 0.0);
-  if (values.empty()) return out;
-  const std::size_t m = values.size();
+  if (m == 0) return;  // every grid point reads 0
+  const auto copy_of = [](std::size_t s) {
+    Point p;
+    p.rule = Rule::kCopy;
+    p.sample[0] = static_cast<std::uint32_t>(s);
+    return p;
+  };
 
-  switch (kind) {
-    case Interpolation::kZeroFill:
-      for (std::size_t i = 0; i < m; ++i) out[locations[i]] = values[i];
-      return out;
+  if (kind == Interpolation::kZeroFill) {
+    for (std::size_t i = 0; i < m; ++i) points_[locations[i]] = copy_of(i);
+    return;
+  }
+  if (kind != Interpolation::kNearest && kind != Interpolation::kLinear) {
+    throw std::invalid_argument("UpsilonStencil: unknown interpolation");
+  }
 
-    case Interpolation::kNearest: {
+  if (grid_height == 0) {  // 1-D: locations are sorted along the line
+    if (kind == Interpolation::kNearest) {
       std::size_t j = 0;  // index of nearest-on-the-left sample
       for (std::size_t g = 0; g < n; ++g) {
         while (j + 1 < m && locations[j + 1] <= g) ++j;
@@ -47,33 +59,123 @@ Vector interpolate_to_grid(std::span<const double> values,
           const std::size_t dr = locations[j + 1] - g;
           if (dr < dl) pick = j + 1;
         }
-        out[g] = values[pick];
+        points_[g] = copy_of(pick);
       }
-      return out;
+      return;
     }
+    for (std::size_t g = 0; g < n; ++g) {
+      if (g <= locations.front()) {
+        points_[g] = copy_of(0);
+      } else if (g >= locations.back()) {
+        points_[g] = copy_of(m - 1);
+      } else {
+        // Find the bracketing pair (locations sorted).
+        const auto it =
+            std::upper_bound(locations.begin(), locations.end(), g);
+        const std::size_t hi = static_cast<std::size_t>(
+            std::distance(locations.begin(), it));
+        const std::size_t lo = hi - 1;
+        Point& p = points_[g];
+        p.rule = Rule::kLerp;
+        p.sample[0] = static_cast<std::uint32_t>(lo);
+        p.sample[1] = static_cast<std::uint32_t>(hi);
+        p.weight[0] = static_cast<double>(g - locations[lo]) /
+                      static_cast<double>(locations[hi] - locations[lo]);
+      }
+    }
+    return;
+  }
 
-    case Interpolation::kLinear: {
-      for (std::size_t g = 0; g < n; ++g) {
-        if (g <= locations.front()) {
-          out[g] = values.front();
-        } else if (g >= locations.back()) {
-          out[g] = values.back();
-        } else {
-          // Find the bracketing pair (locations sorted).
-          const auto it =
-              std::upper_bound(locations.begin(), locations.end(), g);
-          const std::size_t hi = static_cast<std::size_t>(
-              std::distance(locations.begin(), it));
-          const std::size_t lo = hi - 1;
-          const double t = static_cast<double>(g - locations[lo]) /
-                           static_cast<double>(locations[hi] - locations[lo]);
-          out[g] = (1.0 - t) * values[lo] + t * values[hi];
+  // 2-D: the Euclidean-nearest sample (kNearest) or the kNeighbors
+  // nearest (kLinear) of every grid point, ties going to the lower sample
+  // index.  Sample coordinates are converted once, not per grid point.
+  if (n % grid_height != 0) {
+    throw std::invalid_argument("UpsilonStencil: height must divide n");
+  }
+  std::vector<double> si(m);
+  std::vector<double> sj(m);
+  for (std::size_t s = 0; s < m; ++s) {
+    si[s] = static_cast<double>(locations[s] % grid_height);
+    sj[s] = static_cast<double>(locations[s] / grid_height);
+  }
+  for (std::size_t g = 0; g < n; ++g) {
+    const double gi = static_cast<double>(g % grid_height);
+    const double gj = static_cast<double>(g / grid_height);
+    std::array<double, kNeighbors> nd2;
+    std::array<std::uint32_t, kNeighbors> ns{};
+    nd2.fill(1e300);
+    for (std::size_t s = 0; s < m; ++s) {
+      const double di = si[s] - gi;
+      const double dj = sj[s] - gj;
+      double d2 = di * di + dj * dj;
+      // nd2 stays ascending, so a sample no nearer than the last slot
+      // would not move anything.
+      if (!(d2 < nd2[kNeighbors - 1])) continue;
+      auto id = static_cast<std::uint32_t>(s);
+      // Insertion into the small sorted neighbor set.
+      for (std::size_t r = 0; r < kNeighbors; ++r) {
+        if (d2 < nd2[r]) {
+          std::swap(d2, nd2[r]);
+          std::swap(id, ns[r]);
         }
       }
-      return out;
+    }
+    if (kind == Interpolation::kNearest || nd2[0] <= 1e-12) {
+      points_[g] = copy_of(ns[0]);  // nearest, or exactly on a sample
+      continue;
+    }
+    // kLinear: inverse-squared-distance blend of the neighbor set.
+    Point& p = points_[g];
+    p.rule = Rule::kBlend;
+    for (std::size_t r = 0; r < kNeighbors && nd2[r] < 1e300; ++r) {
+      const double w = 1.0 / nd2[r];
+      p.sample[r] = ns[r];
+      p.weight[r] = w;
+      p.weight_sum += w;
+      ++p.count;
     }
   }
-  throw std::invalid_argument("interpolate_to_grid: unknown interpolation");
+}
+
+Vector UpsilonStencil::apply(std::span<const double> values) const {
+  if (values.size() != samples_) {
+    throw std::invalid_argument("UpsilonStencil::apply: size mismatch");
+  }
+  Vector out(points_.size());
+  for (std::size_t g = 0; g < points_.size(); ++g) {
+    const Point& p = points_[g];
+    switch (p.rule) {
+      case Rule::kZero:
+        out[g] = 0.0;
+        break;
+      case Rule::kCopy:
+        out[g] = values[p.sample[0]];
+        break;
+      case Rule::kLerp: {
+        const double t = p.weight[0];
+        out[g] = (1.0 - t) * values[p.sample[0]] + t * values[p.sample[1]];
+        break;
+      }
+      case Rule::kBlend: {
+        double acc = 0.0;
+        for (std::size_t r = 0; r < p.count; ++r) {
+          acc += p.weight[r] * values[p.sample[r]];
+        }
+        out[g] = acc / p.weight_sum;
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+Vector interpolate_to_grid(std::span<const double> values,
+                           std::span<const std::size_t> locations,
+                           std::size_t n, Interpolation kind) {
+  if (values.size() != locations.size()) {
+    throw std::invalid_argument("interpolate_to_grid: size mismatch");
+  }
+  return UpsilonStencil(locations, n, 0, kind).apply(values);
 }
 
 Vector interpolate_to_grid_2d(std::span<const double> values,
@@ -87,61 +189,7 @@ Vector interpolate_to_grid_2d(std::span<const double> values,
     throw std::invalid_argument(
         "interpolate_to_grid_2d: height must divide n");
   }
-  if (kind == Interpolation::kZeroFill || values.empty()) {
-    return interpolate_to_grid(values, locations, n,
-                               Interpolation::kZeroFill);
-  }
-  const std::size_t m = values.size();
-  Vector out(n, 0.0);
-  for (std::size_t g = 0; g < n; ++g) {
-    const double gi = static_cast<double>(g % height);
-    const double gj = static_cast<double>(g / height);
-    if (kind == Interpolation::kNearest) {
-      double best_d2 = 1e300;
-      double best_v = 0.0;
-      for (std::size_t s = 0; s < m; ++s) {
-        const double di = static_cast<double>(locations[s] % height) - gi;
-        const double dj = static_cast<double>(locations[s] / height) - gj;
-        const double d2 = di * di + dj * dj;
-        if (d2 < best_d2) {
-          best_d2 = d2;
-          best_v = values[s];
-        }
-      }
-      out[g] = best_v;
-    } else {  // kLinear: inverse-distance blend of the 4 nearest samples
-      constexpr std::size_t kNeighbors = 4;
-      std::array<double, kNeighbors> nd2;
-      std::array<double, kNeighbors> nv;
-      nd2.fill(1e300);
-      nv.fill(0.0);
-      for (std::size_t s = 0; s < m; ++s) {
-        const double di = static_cast<double>(locations[s] % height) - gi;
-        const double dj = static_cast<double>(locations[s] / height) - gj;
-        double d2 = di * di + dj * dj;
-        double v = values[s];
-        // Insertion into the small sorted neighbor set.
-        for (std::size_t r = 0; r < kNeighbors; ++r) {
-          if (d2 < nd2[r]) {
-            std::swap(d2, nd2[r]);
-            std::swap(v, nv[r]);
-          }
-        }
-      }
-      if (nd2[0] <= 1e-12) {
-        out[g] = nv[0];  // exactly on a sample
-      } else {
-        double wsum = 0.0, acc = 0.0;
-        for (std::size_t r = 0; r < kNeighbors && nd2[r] < 1e300; ++r) {
-          const double w = 1.0 / nd2[r];  // inverse squared distance
-          acc += w * nv[r];
-          wsum += w;
-        }
-        out[g] = wsum > 0.0 ? acc / wsum : 0.0;
-      }
-    }
-  }
-  return out;
+  return UpsilonStencil(locations, n, height, kind).apply(values);
 }
 
 namespace {
@@ -222,8 +270,7 @@ struct DenseChsView {
   DenseChsView(const Matrix& b, const MeasurementPlan& plan)
       : basis(b), phi_rows(plan.select_rows(b)), qr_cache(phi_rows) {}
 
-  Vector analyze(const Vector& residual,
-                 std::span<const std::size_t> locations, std::size_t n,
+  Vector analyze(const Vector& residual, const UpsilonStencil& upsilon,
                  const ChsOptions& opts) const {
     // (a)+(b) Upsilon then analyze: residual onto the full grid, then
     // into the basis.  Zero-fill leaves e_full zero off the sampled
@@ -233,13 +280,7 @@ struct DenseChsView {
     if (opts.interpolation == Interpolation::kZeroFill) {
       return phi_rows.transpose_times(residual);
     }
-    const Vector e_full =
-        opts.grid_height > 0
-            ? interpolate_to_grid_2d(residual, locations, n,
-                                     opts.grid_height, opts.interpolation)
-            : interpolate_to_grid(residual, locations, n,
-                                  opts.interpolation);
-    return basis.transpose_times(e_full);
+    return basis.transpose_times(upsilon.apply(residual));
   }
 
   Matrix support_matrix(const std::vector<std::size_t>& support) const {
@@ -277,27 +318,12 @@ struct OperatorChsView {
                   const MeasurementPlan& plan)
       : basis(b), locations(plan.indices()), colbuf(b.rows()) {}
 
-  Vector analyze(const Vector& residual,
-                 std::span<const std::size_t> locs, std::size_t n,
-                 const ChsOptions& opts) const {
+  Vector analyze(const Vector& residual, const UpsilonStencil& upsilon,
+                 const ChsOptions&) const {
     // Zero-fill *is* the scatter here: the fast analysis transform wants
     // the full grid anyway, and scatter + O(N log N) beats the dense
     // path's O(MN) row-matrix product.
-    Vector e_full;
-    if (opts.interpolation == Interpolation::kZeroFill) {
-      e_full.assign(n, 0.0);
-      for (std::size_t i = 0; i < residual.size(); ++i) {
-        e_full[locs[i]] = residual[i];
-      }
-    } else {
-      e_full = opts.grid_height > 0
-                   ? interpolate_to_grid_2d(residual, locs, n,
-                                            opts.grid_height,
-                                            opts.interpolation)
-                   : interpolate_to_grid(residual, locs, n,
-                                         opts.interpolation);
-    }
-    return basis.apply_transpose(e_full);
+    return basis.apply_transpose(upsilon.apply(residual));
   }
 
   Matrix support_matrix(const std::vector<std::size_t>& support) const {
@@ -352,7 +378,10 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
       opts.max_support == 0 ? std::max<std::size_t>(m / 2, 1)
                             : opts.max_support,
       m);
-  const auto locations = meas.plan.indices();
+  // Upsilon depends only on the sample locations, which are fixed for
+  // the whole solve: build its stencil once, apply it every iteration.
+  const UpsilonStencil upsilon(meas.plan.indices(), n, opts.grid_height,
+                               opts.interpolation);
 
   // The support grows by sorted insertion each accepted batch and the
   // undo path retracts exactly the last batch, so successive refit
@@ -467,7 +496,7 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
 
     // (a)+(b) Upsilon then analyze — representation-specific, see the
     // view comments above.
-    const Vector alpha_r = view.analyze(residual, locations, n, opts);
+    const Vector alpha_r = view.analyze(residual, upsilon, opts);
 
     // (c) pick significant, not-yet-selected coefficients.
     double max_mag = 0.0;

@@ -14,8 +14,10 @@
 //       the support budget is exhausted, or iterations run out.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -63,7 +65,7 @@ struct ChsOptions {
   /// spatio-temporal reconstruction passes the previous frame's support
   /// here — fields move slowly, so most of yesterday's atoms are still
   /// right.
-  std::vector<std::size_t> initial_support;
+  std::vector<std::size_t> initial_support{};
   /// When > 0, the signal is the eq.-1 column stacking of a 2-D field of
   /// this height (width = N / grid_height) and Upsilon interpolates in
   /// 2-D: kNearest takes the Euclidean-nearest sample, kLinear an
@@ -110,6 +112,48 @@ ChsResult chs_reconstruct(const Matrix& basis, const Measurement& meas,
 ChsResult chs_reconstruct(const linalg::LinearOperator& basis,
                           const Measurement& meas,
                           const ChsOptions& opts = {});
+
+/// Upsilon precomputed for one set of sample locations: for every grid
+/// point, the (at most four) samples it reads and their weights.  The
+/// locations of a solve never change across Fig. 6 iterations, so
+/// chs_reconstruct builds the stencil once per (screened) measurement and
+/// applies it each iteration in O(N) instead of rescanning all M samples
+/// per grid point.  Applying it is bit-identical to the interpolation
+/// loops it was built from: same neighbors, weights and accumulation
+/// order.
+class UpsilonStencil {
+ public:
+  /// `locations` are the sample grid indices (sorted for the 1-D rules).
+  /// grid_height 0 selects the 1-D rules of interpolate_to_grid; > 0 the
+  /// 2-D rules of interpolate_to_grid_2d over a column-stacked
+  /// grid_height x (n / grid_height) field (kZeroFill ignores it).
+  /// Throws std::invalid_argument when an interpolating 2-D stencil's
+  /// height does not divide n or the kind is unknown.
+  UpsilonStencil(std::span<const std::size_t> locations, std::size_t n,
+                 std::size_t grid_height, Interpolation kind);
+
+  /// Upsilon(values) on the grid.  Throws std::invalid_argument unless
+  /// there is one value per location the stencil was built from.
+  Vector apply(std::span<const double> values) const;
+
+ private:
+  static constexpr std::size_t kNeighbors = 4;  ///< 2-D kLinear blend
+  enum class Rule : std::uint8_t {
+    kZero,   ///< 0
+    kCopy,   ///< values[sample[0]]
+    kLerp,   ///< (1 - t) v[sample[0]] + t v[sample[1]], t = weight[0]
+    kBlend,  ///< sum_r weight[r] v[sample[r]] / weight_sum
+  };
+  struct Point {
+    Rule rule = Rule::kZero;
+    std::uint8_t count = 0;  ///< kBlend terms
+    std::array<std::uint32_t, kNeighbors> sample{};
+    std::array<double, kNeighbors> weight{};
+    double weight_sum = 0.0;
+  };
+  std::vector<Point> points_;
+  std::size_t samples_ = 0;
+};
 
 /// The interpolation operator Upsilon exposed for tests: spreads `values`
 /// at sorted `locations` onto a length-n grid.

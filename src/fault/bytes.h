@@ -17,6 +17,7 @@
 #include <span>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sensedroid::fault {
@@ -27,9 +28,12 @@ class CodecError : public std::runtime_error {
   using std::runtime_error::runtime_error;
 };
 
-/// Append-only encoder.
+/// Append-only encoder.  An encoder that knows its size up front (see
+/// ByteCounter) reserves once and may patch fixed-width header fields
+/// after the body is written.
 class ByteWriter {
  public:
+  void reserve(std::size_t n) { buf_.reserve(n); }
   void u8(std::uint8_t v) { buf_.push_back(v); }
   void u32(std::uint32_t v) {
     for (int i = 0; i < 4; ++i) {
@@ -57,11 +61,44 @@ class ByteWriter {
     for (char c : s) buf_.push_back(static_cast<std::uint8_t>(c));
   }
 
+  /// Overwrites bytes [at, at + 4) / [at, at + 8) already written.
+  void patch_u32(std::size_t at, std::uint32_t v) { patch(at, v, 4); }
+  void patch_u64(std::size_t at, std::uint64_t v) { patch(at, v, 8); }
+
   const std::vector<std::uint8_t>& data() const noexcept { return buf_; }
   std::vector<std::uint8_t> take() noexcept { return std::move(buf_); }
 
  private:
+  void patch(std::size_t at, std::uint64_t v, std::size_t width) {
+    if (at > buf_.size() || width > buf_.size() - at) {
+      throw std::out_of_range("ByteWriter: patch past the end");
+    }
+    for (std::size_t i = 0; i < width; ++i) {
+      buf_[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+  }
+
   std::vector<std::uint8_t> buf_;
+};
+
+/// Same interface as ByteWriter, but only counts the bytes it would
+/// append: one pass of an encoder over a ByteCounter sizes the buffer
+/// the real pass then writes without reallocating.
+class ByteCounter {
+ public:
+  void u8(std::uint8_t) { n_ += 1; }
+  void u32(std::uint32_t) { n_ += 4; }
+  void u64(std::uint64_t) { n_ += 8; }
+  void f64(double) { n_ += 8; }
+  void boolean(bool) { n_ += 1; }
+  void bytes(std::span<const std::uint8_t> b) { n_ += b.size(); }
+  void blob(std::span<const std::uint8_t> b) { n_ += 8 + b.size(); }
+  void str(std::string_view s) { n_ += 8 + s.size(); }
+
+  std::size_t size() const noexcept { return n_; }
+
+ private:
+  std::size_t n_ = 0;
 };
 
 /// Bounds-checked decoder over a borrowed buffer.

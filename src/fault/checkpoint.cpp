@@ -17,13 +17,16 @@ namespace {
 // "SDCP" little-endian.
 constexpr std::uint32_t kMagic = 0x50434453u;
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 4;  // magic ver size crc
+constexpr std::size_t kSizeAt = 8;                    // payload size field
+constexpr std::size_t kCrcAt = 16;                    // payload CRC field
 
 // ---------------------------------------------------------------------
 // Payload codec.  Every reader-side length is bounds-checked by
 // ByteReader, so a hostile payload throws CodecError instead of
 // overrunning; callers translate that to CheckpointError.
 
-void put_rng(ByteWriter& w, const linalg::Rng::State& st) {
+template <typename Writer>
+void put_rng(Writer& w, const linalg::Rng::State& st) {
   for (std::uint64_t word : st.s) w.u64(word);
   w.f64(st.cached_gaussian);
   w.boolean(st.has_cached_gaussian);
@@ -37,7 +40,8 @@ linalg::Rng::State get_rng(ByteReader& r) {
   return st;
 }
 
-void put_sample(ByteWriter& w, const obs::MetricsRegistry::Sample& s) {
+template <typename Writer>
+void put_sample(Writer& w, const obs::MetricsRegistry::Sample& s) {
   w.str(s.name);
   w.u64(s.labels.size());
   for (const auto& [k, v] : s.labels) {
@@ -88,7 +92,8 @@ obs::MetricsRegistry::Sample get_sample(ByteReader& r) {
   return s;
 }
 
-void put_zone(ByteWriter& w, const ZoneSnapshot& z) {
+template <typename Writer>
+void put_zone(Writer& w, const ZoneSnapshot& z) {
   w.u32(z.zone);
   for (double j : z.broker_meter_j) w.f64(j);
   w.u64(z.nodes.size());
@@ -145,8 +150,9 @@ ZoneSnapshot get_zone(ByteReader& r) {
   return z;
 }
 
-std::vector<std::uint8_t> encode_payload(const CampaignSnapshot& snap) {
-  ByteWriter w;
+// Writer is ByteWriter or ByteCounter: the same walk sizes and writes.
+template <typename Writer>
+void put_payload(Writer& w, const CampaignSnapshot& snap) {
   w.u64(snap.rounds_done);
   w.f64(snap.virtual_s);
   put_rng(w, snap.campaign_rng);
@@ -157,7 +163,6 @@ std::vector<std::uint8_t> encode_payload(const CampaignSnapshot& snap) {
   w.u64(snap.zones.size());
   for (const auto& z : snap.zones) put_zone(w, z);
   w.blob(snap.driver);
-  return w.take();
 }
 
 CampaignSnapshot decode_payload(std::span<const std::uint8_t> payload) {
@@ -193,13 +198,21 @@ CampaignSnapshot decode_payload(std::span<const std::uint8_t> payload) {
 }  // namespace
 
 std::vector<std::uint8_t> encode(const CampaignSnapshot& snap) {
-  const std::vector<std::uint8_t> payload = encode_payload(snap);
+  // One exactly-sized buffer: header placeholders, then the payload,
+  // then the size and CRC patched in — no second copy of the image.
+  ByteCounter counted;
+  put_payload(counted, snap);
   ByteWriter w;
+  w.reserve(kHeaderBytes + counted.size());
   w.u32(kMagic);
   w.u32(kCheckpointVersion);
-  w.u64(payload.size());
-  w.u32(crc32(payload));
-  w.bytes(payload);
+  w.u64(0);  // payload size
+  w.u32(0);  // payload CRC
+  put_payload(w, snap);
+  const auto payload =
+      std::span<const std::uint8_t>(w.data()).subspan(kHeaderBytes);
+  w.patch_u64(kSizeAt, payload.size());
+  w.patch_u32(kCrcAt, crc32(payload));
   return w.take();
 }
 

@@ -135,9 +135,14 @@ class NanoCloud {
   /// Total energy drawn by all member phones so far.
   double total_node_energy_j() const noexcept;
 
-  /// Bytes this zone holds to represent its basis: 8 N^2 for a dense
-  /// matrix (N <= 1024 or a non-DCT basis), O(N) for the fast-DCT
-  /// operator larger DCT zones hold (the E25 memory axis).
+  /// The zone's synthesis basis.  Read-only; zones of the same shape
+  /// with a separable DCT2 basis share one object.
+  const linalg::LinearOperator& basis() const noexcept { return *basis_; }
+
+  /// Bytes of the basis this zone reads: 8 N^2 for a dense matrix
+  /// (N <= 1024 or a non-DCT basis), O(N) for the fast-DCT operator
+  /// larger DCT zones hold (the E25 memory axis).  A shared matrix is
+  /// counted in full by every zone that reads it.
   std::size_t basis_state_bytes() const noexcept;
 
  private:
@@ -164,7 +169,8 @@ class NanoCloud {
   std::vector<std::size_t> covered_;          ///< cells with a node
   std::vector<std::size_t> cell_to_node_;     ///< cell -> index or npos
   /// Synthesis basis, representation chosen by zone size (never null).
-  std::unique_ptr<linalg::LinearOperator> basis_;
+  /// Immutable; zones of one shape share a separable DCT2 matrix.
+  std::shared_ptr<const linalg::LinearOperator> basis_;
 };
 
 }  // namespace sensedroid::hierarchy

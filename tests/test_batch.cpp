@@ -486,3 +486,46 @@ TEST(NanoCloudBasis, RepresentationFollowsZoneSize) {
   EXPECT_GT(res.m_used, 300u);
   EXPECT_LT(res.nrmse, 0.1);
 }
+
+TEST(NanoCloudBasis, SameShapeZonesShareOneBasis) {
+  sl::Rng field_rng(114);
+  const auto a = sf::random_plume_field(16, 16, 2, field_rng, 20.0);
+  const auto b = sf::random_plume_field(16, 16, 2, field_rng, 20.0);
+  const auto wide = sf::random_plume_field(32, 8, 2, field_rng, 20.0);
+  sh::NanoCloudConfig cfg;
+  cfg.coverage = 1.0;
+  sl::Rng rng(115);
+
+  // Same shape, separable DCT2: one matrix, still counted in full by
+  // each zone (basis_state_bytes keeps its meaning).
+  auto za = std::make_unique<sh::NanoCloud>(a, cfg, rng);
+  const sh::NanoCloud zb(b, cfg, rng);
+  EXPECT_EQ(&za->basis(), &zb.basis());
+  EXPECT_EQ(zb.basis_state_bytes(), std::size_t{256 * 256 * sizeof(double)});
+
+  // Another shape with the same N gets its own matrix.
+  const sh::NanoCloud zw(wide, cfg, rng);
+  EXPECT_NE(&zw.basis(), &zb.basis());
+
+  // Non-separable DCT and rng-seeded bases are never shared.
+  for (const bool haar : {false, true}) {
+    sh::NanoCloudConfig other = cfg;
+    if (haar) {
+      other.basis = sl::BasisKind::kHaar;
+    } else {
+      other.separable_2d = false;
+    }
+    const sh::NanoCloud x(a, other, rng);
+    const sh::NanoCloud y(a, other, rng);
+    EXPECT_NE(&x.basis(), &y.basis()) << "haar=" << haar;
+    EXPECT_NE(&x.basis(), &zb.basis()) << "haar=" << haar;
+  }
+
+  // The shared matrix outlives any one of its zones.
+  za.reset();
+  sh::NanoCloud zc(b, cfg, rng);
+  EXPECT_EQ(&zc.basis(), &zb.basis());
+  const auto res = zc.gather(80, rng);
+  EXPECT_GT(res.m_used, 60u);
+  EXPECT_LT(res.nrmse, 0.2);
+}

@@ -122,6 +122,20 @@ TEST(CheckpointCodec, RoundTripsEveryField) {
   EXPECT_EQ(reg.to_prometheus(), ref.to_prometheus());
 }
 
+// Pins the encoded image of the fixed sample snapshot: its size and the
+// CRC-32 of every byte (header included).  An encoder rewrite must keep
+// the on-disk bytes exactly, or existing snapshots stop loading.  The
+// cached Gaussian is set to an exact constant first: its computed value
+// depends on whether the build contracts the polar method into FMAs.
+TEST(CheckpointCodec, SampleImageBytesArePinned) {
+  sfl::CampaignSnapshot snap = sample_snapshot();
+  snap.campaign_rng.cached_gaussian = -0.8125;
+  const std::vector<std::uint8_t> image = sfl::encode(snap);
+  EXPECT_EQ(image.size(), 1488u);
+  EXPECT_EQ(sfl::crc32(image), 0xFEDB7093u);
+  EXPECT_EQ(image.capacity(), image.size());  // one exactly-sized buffer
+}
+
 // Pins the CRC-32 implementation to the reflected-0xEDB88320 standard:
 // the check value of "123456789" is 0xCBF43926 in every conforming
 // implementation, so a table/slicing rewrite cannot silently change the

@@ -8,10 +8,12 @@
 
 #include <atomic>
 #include <cstddef>
+#include <latch>
 #include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "cs/chs.h"
@@ -486,6 +488,40 @@ TEST(ParallelCampaign, ReplaysBitIdenticallyAtTheSameWorkerCount) {
   for (std::size_t i = 0; i < a.nrmse.size(); ++i) {
     EXPECT_EQ(a.nrmse[i], b.nrmse[i]);
   }
+}
+
+// Zones of one shape share their basis across LocalClouds, so two
+// clouds built and run at once read one matrix from many workers: race-
+// free under the TSan twin, and every round matches a cloud run alone.
+TEST(ParallelCampaign, ConcurrentCloudsShareBasesSafely) {
+  sl::Rng field_rng(101);
+  const auto truth = sf::random_plume_field(24, 24, 3, field_rng, 20.0);
+  const sf::ZoneGrid grid(24, 24, 2, 4);  // 8 zones of 6x12
+  sh::NanoCloudConfig cfg;
+  cfg.coverage = 1.0;
+
+  std::latch start(2);
+  const auto run = [&](bool concurrent) {
+    if (concurrent) start.arrive_and_wait();
+    sl::Rng rng(7);
+    sh::LocalCloud cloud(truth, grid, cfg, rng);
+    se::ThreadPool pool(8);
+    se::ParallelCampaignRunner runner(cloud, pool);
+    std::vector<double> nrmse;
+    for (int round = 0; round < 3; ++round) {
+      nrmse.push_back(runner.run_round_uniform(20, rng).nrmse);
+    }
+    return nrmse;
+  };
+  const std::vector<double> alone = run(false);
+  std::vector<double> a;
+  std::vector<double> b;
+  std::thread ta([&] { a = run(true); });
+  std::thread tb([&] { b = run(true); });
+  ta.join();
+  tb.join();
+  EXPECT_EQ(a, alone);  // bit-identical
+  EXPECT_EQ(b, alone);
 }
 
 TEST(ParallelCampaign, ValidatesZoneDecisions) {
