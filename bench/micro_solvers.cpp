@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <span>
@@ -282,6 +283,11 @@ bool write_fig4_regime_json() {
 //                     GEMM speedup the acceptance floor reads (>= 3x);
 //   sweep_dense_nN /  one A^T r correlation sweep at m = N/8, dense
 //   sweep_fastdct_nN  matrix vs SubsampledDctOperator (>= 5x at 4096);
+//   sweep_kron_nN     one CHS analyze sweep Phi^T e over the full grid of a
+//                     sqrt(N) x sqrt(N) zone through the KroneckerOperator
+//                     of its separable DCT2 basis (N inputs, not N/8; the
+//                     dense equivalent is an N x N GEMV) — under
+//                     "report_us", reporting only, never gated;
 //   state_bytes       bytes each sweep fixture holds to represent A —
 //                     reporting only, never trajectory-gated.
 
@@ -326,8 +332,10 @@ bool write_batch_operator_json() {
     std::size_t n = 0;
     double dense_us = 0.0;
     double fast_us = 0.0;
+    double kron_us = 0.0;
     std::size_t dense_bytes = 0;
     std::size_t fast_bytes = 0;
+    std::size_t kron_bytes = 0;
   };
   std::vector<SweepPoint> sweeps;
   for (const std::size_t sn : {std::size_t{256}, std::size_t{1024},
@@ -351,8 +359,18 @@ bool write_batch_operator_json() {
       op.apply_transpose_into(r, corr);
       benchmark::DoNotOptimize(corr.data());
     });
+    const auto side = static_cast<std::size_t>(
+        std::lround(std::sqrt(static_cast<double>(sn))));  // square zone
+    const linalg::KroneckerOperator kron(linalg::dct_basis(side),
+                                         linalg::dct_basis(side));
+    const auto grid = linalg::Rng(sn + 1).gaussian_vector(sn);
+    p.kron_us = median_solve_us(reps, [&] {
+      kron.apply_transpose_into(grid, corr);
+      benchmark::DoNotOptimize(corr.data());
+    });
     p.dense_bytes = sm * sn * sizeof(double);
     p.fast_bytes = op.state_bytes();
+    p.kron_bytes = kron.state_bytes();
     sweeps.push_back(p);
   }
 
@@ -376,11 +394,19 @@ bool write_batch_operator_json() {
     std::fprintf(f, ",\"sweep_dense_n%zu\":%.3f,\"sweep_fastdct_n%zu\":%.3f",
                  p.n, p.dense_us, p.n, p.fast_us);
   }
+  std::fprintf(f, "},\"report_us\":{");
+  for (std::size_t i = 0; i < sweeps.size(); ++i) {
+    std::fprintf(f, "%s\"sweep_kron_n%zu\":%.3f", i == 0 ? "" : ",",
+                 sweeps[i].n, sweeps[i].kron_us);
+  }
   std::fprintf(f, "},\"state_bytes\":{");
   for (std::size_t i = 0; i < sweeps.size(); ++i) {
-    std::fprintf(f, "%s\"sweep_dense_n%zu\":%zu,\"sweep_fastdct_n%zu\":%zu",
+    std::fprintf(f,
+                 "%s\"sweep_dense_n%zu\":%zu,\"sweep_fastdct_n%zu\":%zu,"
+                 "\"sweep_kron_n%zu\":%zu",
                  i == 0 ? "" : ",", sweeps[i].n, sweeps[i].dense_bytes,
-                 sweeps[i].n, sweeps[i].fast_bytes);
+                 sweeps[i].n, sweeps[i].fast_bytes, sweeps[i].n,
+                 sweeps[i].kron_bytes);
   }
   std::fprintf(f, "}}\n");
   std::fclose(f);
@@ -388,9 +414,9 @@ bool write_batch_operator_json() {
               "b512=%.2f (b1/b64 %.2fx)",
               b1, b8, b64, b512, b64 > 0.0 ? b1 / b64 : 0.0);
   for (const auto& p : sweeps) {
-    std::printf("; sweep n=%zu dense=%.2fus fast=%.2fus (%.2fx)", p.n,
-                p.dense_us, p.fast_us,
-                p.fast_us > 0.0 ? p.dense_us / p.fast_us : 0.0);
+    std::printf("; sweep n=%zu dense=%.2fus fast=%.2fus (%.2fx) kron=%.2fus",
+                p.n, p.dense_us, p.fast_us,
+                p.fast_us > 0.0 ? p.dense_us / p.fast_us : 0.0, p.kron_us);
   }
   std::printf(" -> %s\n", path.c_str());
   return true;

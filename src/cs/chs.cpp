@@ -247,28 +247,47 @@ std::optional<Measurement> mad_screen(const Measurement& meas,
                      SensorNoise{std::move(kept_sigma)}};
 }
 
-// The Fig. 6 loop is written once against a "basis view" so the dense
-// matrix path and the structured-operator path cannot drift.  The view
-// supplies the four places the basis representation matters:
+// Step 4's synthesis x_hat = Phi_K alpha_K from exact basis columns.
+void synthesize_support(const linalg::LinearOperator& basis,
+                        const std::vector<std::size_t>& support,
+                        const Vector& coef, Vector* out) {
+  Vector col(basis.rows());
+  for (std::size_t idx = 0; idx < support.size(); ++idx) {
+    basis.column_into(support[idx], col);
+    const double c = coef[idx];
+    for (std::size_t i = 0; i < col.size(); ++i) (*out)[i] += col[i] * c;
+  }
+}
+
+// The Fig. 6 loop is written once against a "basis view" so the two
+// zone-basis representations cannot drift.  The view supplies the three
+// places the representation matters:
 //
 //   analyze()          — steps (a)+(b), residual -> coefficient proxy;
 //   support_matrix()   — the M x K refit matrix Phi~_K;
-//   try_cache_refit()  — the incremental-QR shortcut (dense only);
-//   reconstruct_into() — step 4's synthesis x_hat = Phi_K alpha_K.
+//   try_cache_refit()  — the incremental-QR shortcut (row slice only).
 //
-// DenseChsView contains the historical code verbatim, so the Matrix
-// overload of chs_reconstruct is bit-identical to its pre-refactor
-// behavior.  OperatorChsView runs the analyze sweep through
-// LinearOperator::apply_transpose (O(N log N) for the fast DCT instead
-// of the O(MN) row-matrix product) and assembles only the O(K) columns
-// a refit actually touches, so a zone never materializes the basis.
-struct DenseChsView {
-  const Matrix& basis;
+// RowSliceChsView holds the M x N row slice Phi~ = Phi_rows of the basis
+// operator, refits from its columns, and runs the interpolating analyze
+// sweep through the operator.  Over a DenseOperator (the Matrix
+// overload) every step runs the blocked Matrix kernels, so dense results
+// never depend on the operator layer; a KroneckerOperator computes the
+// same slice and columns exactly and only its analyze sweep rounds
+// differently.  OperatorChsView never forms the slice: it runs the
+// analyze sweep through LinearOperator::apply_transpose (O(N log N) for
+// the fast DCT) and assembles only the O(K) columns a refit touches.
+struct RowSliceChsView {
+  const linalg::LinearOperator& basis;
   const Matrix phi_rows;  // M x N
-  linalg::SupportQrCache qr_cache;
+  // Plain-OLS refits only: the cache is M x min(M, N) of storage that a
+  // weighted or custom refit would never read.
+  std::optional<linalg::SupportQrCache> qr_cache;
 
-  DenseChsView(const Matrix& b, const MeasurementPlan& plan)
-      : basis(b), phi_rows(plan.select_rows(b)), qr_cache(phi_rows) {}
+  RowSliceChsView(const linalg::LinearOperator& b,
+                  const MeasurementPlan& plan, bool ols_refit)
+      : basis(b), phi_rows(b.select_rows(plan.indices())) {
+    if (ols_refit) qr_cache.emplace(phi_rows);
+  }
 
   Vector analyze(const Vector& residual, const UpsilonStencil& upsilon,
                  const ChsOptions& opts) const {
@@ -280,32 +299,20 @@ struct DenseChsView {
     if (opts.interpolation == Interpolation::kZeroFill) {
       return phi_rows.transpose_times(residual);
     }
-    return basis.transpose_times(upsilon.apply(residual));
+    return basis.apply_transpose(upsilon.apply(residual));
   }
 
   Matrix support_matrix(const std::vector<std::size_t>& support) const {
     return phi_rows.select_cols(support);
   }
 
-  bool try_cache_refit(bool cacheable,
-                       const std::vector<std::size_t>& support,
+  bool try_cache_refit(const std::vector<std::size_t>& support,
                        std::span<const double> y, Vector* out,
                        std::size_t* cols_reused) {
-    if (!cacheable || !qr_cache.refit(support)) return false;
-    *cols_reused += qr_cache.reused_columns();
-    *out = qr_cache.solve(y);
+    if (!qr_cache || !qr_cache->refit(support)) return false;
+    *cols_reused += qr_cache->reused_columns();
+    *out = qr_cache->solve(y);
     return true;
-  }
-
-  void reconstruct_into(const std::vector<std::size_t>& support,
-                        const Vector& coef, Vector* out) const {
-    for (std::size_t idx = 0; idx < support.size(); ++idx) {
-      const std::size_t j = support[idx];
-      const double c = coef[idx];
-      for (std::size_t i = 0; i < basis.rows(); ++i) {
-        (*out)[i] += basis(i, j) * c;
-      }
-    }
   }
 };
 
@@ -339,22 +346,11 @@ struct OperatorChsView {
     return phi_k;
   }
 
-  bool try_cache_refit(bool, const std::vector<std::size_t>&,
+  bool try_cache_refit(const std::vector<std::size_t>&,
                        std::span<const double>, Vector*, std::size_t*) {
     // The incremental-QR cache keys off a materialized M x N matrix;
     // operator mode refits are dense on O(K) assembled columns instead.
     return false;
-  }
-
-  void reconstruct_into(const std::vector<std::size_t>& support,
-                        const Vector& coef, Vector* out) const {
-    for (std::size_t idx = 0; idx < support.size(); ++idx) {
-      basis.column_into(support[idx], colbuf);
-      const double c = coef[idx];
-      for (std::size_t i = 0; i < colbuf.size(); ++i) {
-        (*out)[i] += colbuf[i] * c;
-      }
-    }
   }
 };
 
@@ -385,12 +381,11 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
 
   // The support grows by sorted insertion each accepted batch and the
   // undo path retracts exactly the last batch, so successive refit
-  // supports share long prefixes: route plain-OLS refits through the
-  // incremental factorization cache (prefix reuse, O(mk) per new
-  // column).  Weighted ("gls" with a noise model) or custom registry
-  // solvers, numerically dependent supports, and operator mode take the
-  // dense path.
-  const bool cacheable = refit.name() == "ols";
+  // supports share long prefixes: the row-slice view routes plain-OLS
+  // refits through the incremental factorization cache (prefix reuse,
+  // O(mk) per new column).  Weighted ("gls" with a noise model) or
+  // custom registry solvers, numerically dependent supports, and the
+  // operator view take the dense path.
   std::size_t cache_cols_reused = 0;
   // BP refits thread the previous round's optimal basis into the next
   // solve: the support only grows between accepted batches, so every
@@ -445,7 +440,7 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
       return solve_ridge(phi_k, meas.values, 1e-8 * scale * scale);
     }
     Vector cached;
-    if (view.try_cache_refit(cacheable, support, meas.values, &cached,
+    if (view.try_cache_refit(support, meas.values, &cached,
                              &cache_cols_reused)) {
       return cached;
     }
@@ -496,7 +491,10 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
 
     // (a)+(b) Upsilon then analyze — representation-specific, see the
     // view comments above.
-    const Vector alpha_r = view.analyze(residual, upsilon, opts);
+    const Vector alpha_r = [&] {
+      obs::ScopedSpan analyze_span("cs.chs.analyze");
+      return view.analyze(residual, upsilon, opts);
+    }();
 
     // (c) pick significant, not-yet-selected coefficients.
     double max_mag = 0.0;
@@ -530,13 +528,16 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
     }
     std::sort(res.support.begin(), res.support.end());
 
-    // (e) refit on the support via the cache or the registry solver.
-    const Matrix phi_k = view.support_matrix(res.support);
-    coef_on_support = refit_fit(phi_k, res.support);
+    {
+      obs::ScopedSpan refit_span("cs.chs.refit");
+      // (e) refit on the support via the cache or the registry solver.
+      const Matrix phi_k = view.support_matrix(res.support);
+      coef_on_support = refit_fit(phi_k, res.support);
 
-    // (f) new measurement-domain residual.
-    const Vector fitted = phi_k * coef_on_support;
-    residual = linalg::subtract(meas.values, fitted);
+      // (f) new measurement-domain residual.
+      const Vector fitted = phi_k * coef_on_support;
+      residual = linalg::subtract(meas.values, fitted);
+    }
 
     const double res_norm = norm2(residual);
     if (prev_res_norm - res_norm <
@@ -585,7 +586,8 @@ ChsResult chs_core(View& view, std::size_t n, const Measurement& meas,
 
   // Step 4: x_hat = Phi_K alpha_K.
   res.reconstruction.assign(n, 0.0);
-  view.reconstruct_into(res.support, coef_on_support, &res.reconstruction);
+  synthesize_support(view.basis, res.support, coef_on_support,
+                     &res.reconstruction);
   return res;
 }
 
@@ -638,28 +640,28 @@ ChsResult chs_entry(std::size_t n, std::size_t basis_cols,
 
 ChsResult chs_reconstruct(const Matrix& basis, const Measurement& meas,
                           const ChsOptions& opts) {
-  const std::size_t n = basis.rows();
-  return chs_entry(n, basis.cols(), meas, opts,
-                   [&](const Measurement& mm, const ChsOptions& oo,
-                       const SparseSolver& refit) {
-                     DenseChsView view(basis, mm.plan);
-                     return chs_core(view, n, mm, oo, refit);
-                   });
+  return chs_reconstruct(linalg::DenseOperator(basis), meas, opts);
 }
 
 ChsResult chs_reconstruct(const linalg::LinearOperator& basis,
                           const Measurement& meas, const ChsOptions& opts) {
-  // A dense operator takes the Matrix path: its view slices the M x N
-  // row matrix once and keeps the incremental-QR refit cache, which the
-  // column-assembling operator view cannot.
-  if (const auto* dense = dynamic_cast<const linalg::DenseOperator*>(&basis)) {
-    return chs_reconstruct(dense->matrix(), meas, opts);
-  }
   const std::size_t n = basis.rows();
+  // The fast-DCT operator exists for zones too large to slice: it keeps
+  // O(N) state and assembles columns on demand.  Every other operator
+  // slices its M x N rows once and keeps the incremental-QR refit cache.
+  if (dynamic_cast<const linalg::SubsampledDctOperator*>(&basis) != nullptr) {
+    return chs_entry(n, basis.cols(), meas, opts,
+                     [&](const Measurement& mm, const ChsOptions& oo,
+                         const SparseSolver& refit) {
+                       OperatorChsView view(basis, mm.plan);
+                       return chs_core(view, n, mm, oo, refit);
+                     });
+  }
   return chs_entry(n, basis.cols(), meas, opts,
                    [&](const Measurement& mm, const ChsOptions& oo,
                        const SparseSolver& refit) {
-                     OperatorChsView view(basis, mm.plan);
+                     RowSliceChsView view(basis, mm.plan,
+                                          refit.name() == "ols");
                      return chs_core(view, n, mm, oo, refit);
                    });
 }

@@ -102,13 +102,17 @@ ChsResult chs_reconstruct(const Matrix& basis, const Measurement& meas,
                           const ChsOptions& opts = {});
 
 /// Operator-core CHS: same Fig. 6 loop against an N x N synthesis
-/// operator.  A linalg::DenseOperator runs the Matrix overload on its
-/// matrix (bit-identical, same speed).  A structured operator (e.g.
-/// linalg::SubsampledDctOperator with an empty row list) runs the analyze
-/// sweep as its fast transform in O(N log N), refits on only the O(K)
-/// assembled support columns, and keeps zone-side state at O(N) instead
-/// of the 8 N^2 bytes of the dense basis.  Column entries are exact, so
-/// results match the dense overload up to near-exact atom-selection ties.
+/// operator.  The operator's M x N row slice (select_rows) is formed once
+/// per solve; refits read it (OLS ones through the incremental-QR
+/// cache), the interpolating analyze sweep runs as apply_transpose and
+/// the synthesis from column_into.  A linalg::DenseOperator therefore
+/// runs exactly the Matrix overload's kernels (bit-identical); a
+/// linalg::KroneckerOperator sweeps in O(N (w + h)) with exact slice and
+/// column entries.  linalg::SubsampledDctOperator (empty row list) never
+/// forms the slice: it analyzes by its O(N log N) fast transform and
+/// refits on only the O(K) assembled support columns, keeping zone-side
+/// state at O(N).  Structured operators match the dense overload up to
+/// near-exact atom-selection ties.
 ChsResult chs_reconstruct(const linalg::LinearOperator& basis,
                           const Measurement& meas,
                           const ChsOptions& opts = {});

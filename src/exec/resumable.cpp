@@ -123,13 +123,15 @@ const std::vector<CampaignRoundRow>& ResumableCampaign::run_until(
       // file I/O (write + fsync + rename) ride the background writer:
       // both are pure functions of the captured structs, and together
       // they cost more than a round, so neither may stall the loop.
-      // Joining the previous write first keeps a single file in flight;
-      // a captured I/O error surfaces on that join.  Deliberately
+      // Joining the previous write first keeps a single file in flight,
+      // and joining it before the capture keeps a single snapshot and
+      // image beside the live state when rounds outpace the writer; a
+      // captured I/O error surfaces on that join.  Deliberately
       // counter-free: a checkpoint-armed run must keep the same
       // deterministic metric set as an unarmed one, so the write leaves
       // only a (join-deferred) flight-recorder trace.
-      fault::CampaignSnapshot snap = snapshot(rng);
       join_checkpoint_writer(/*rethrow=*/true);
+      fault::CampaignSnapshot snap = snapshot(rng);
       ckpt_pending_round_ = static_cast<std::uint32_t>(rounds_done_);
       ckpt_writer_ = std::thread(
           [this, path = config_.checkpoint.path,

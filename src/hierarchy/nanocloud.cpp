@@ -2,9 +2,7 @@
 
 #include <algorithm>
 #include <limits>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <stdexcept>
 #include <utility>
 
@@ -20,53 +18,35 @@ namespace {
 constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
 constexpr middleware::NodeId kBrokerId = 1'000'000;
 
-// Zones of up to this many grid points hold their basis as a dense
-// matrix; larger DCT zones hold the fast-transform operator instead.  The
+// DCT zones of up to this many grid points hold their basis as a small
+// explicit form (separable: the Kronecker factors; stacked 1-D: the dense
+// matrix); larger DCT zones hold the fast-transform operator instead.  The
 // crossover is where a whole CHS round (not a single analyze sweep)
 // turns faster on the operator — DESIGN.md §15 has the measurements.
 constexpr std::size_t kDenseBasisMaxPoints = 1024;
 
-// The separable DCT2 matrix of a zone shape is deterministic and
-// immutable, and rounds only read it, so every zone of the same
-// (width, height) shares one copy instead of holding its own 8 N^2
-// bytes.  The cache holds weak references: the matrix lives exactly as
-// long as some NanoCloud uses it.
-std::shared_ptr<const linalg::LinearOperator> shared_dct2_basis(
-    std::size_t width, std::size_t height) {
-  static std::mutex mu;
-  static std::map<std::pair<std::size_t, std::size_t>,
-                  std::weak_ptr<const linalg::LinearOperator>>
-      cache;
-  const std::lock_guard<std::mutex> lock(mu);
-  std::weak_ptr<const linalg::LinearOperator>& slot =
-      cache[{width, height}];
-  if (auto alive = slot.lock()) return alive;
-  auto made = std::make_shared<const linalg::DenseOperator>(
-      linalg::dct2_basis(width, height));
-  slot = made;
-  return made;
-}
-
-// The zone basis.  The operator branch consumes the exact same rng draws
-// as the dense branch it replaces, so node layouts, tiers and noise
+// The zone basis.  The operator branches consume the exact same rng draws
+// as the dense branch they replace, so node layouts, tiers and noise
 // streams downstream do not depend on the representation.
-std::shared_ptr<const linalg::LinearOperator> make_zone_basis(
+std::unique_ptr<const linalg::LinearOperator> make_zone_basis(
     const field::SpatialField& truth, const NanoCloudConfig& config,
     Rng& rng) {
   const bool dct = config.basis == linalg::BasisKind::kDct;
   if (dct && truth.size() > kDenseBasisMaxPoints) {
     if (config.separable_2d) {
-      return std::make_shared<const linalg::SubsampledDctOperator>(
+      return std::make_unique<const linalg::SubsampledDctOperator>(
           truth.width(), truth.height(), std::vector<std::size_t>{});
     }
     (void)rng.next_u64();  // make_basis would have drawn the seed
-    return std::make_shared<const linalg::SubsampledDctOperator>(
+    return std::make_unique<const linalg::SubsampledDctOperator>(
         truth.size(), std::vector<std::size_t>{});
   }
   if (dct && config.separable_2d) {
-    return shared_dct2_basis(truth.width(), truth.height());
+    // dct2_basis(w, h) == dct_basis(w) (x) dct_basis(h), entry for entry.
+    return std::make_unique<const linalg::KroneckerOperator>(
+        linalg::dct_basis(truth.width()), linalg::dct_basis(truth.height()));
   }
-  return std::make_shared<const linalg::DenseOperator>(
+  return std::make_unique<const linalg::DenseOperator>(
       linalg::make_basis(config.basis, truth.size(), rng.next_u64()));
 }
 

@@ -135,14 +135,14 @@ class NanoCloud {
   /// Total energy drawn by all member phones so far.
   double total_node_energy_j() const noexcept;
 
-  /// The zone's synthesis basis.  Read-only; zones of the same shape
-  /// with a separable DCT2 basis share one object.
+  /// The zone's synthesis basis, owned by this zone.  Read-only.
   const linalg::LinearOperator& basis() const noexcept { return *basis_; }
 
-  /// Bytes of the basis this zone reads: 8 N^2 for a dense matrix
-  /// (N <= 1024 or a non-DCT basis), O(N) for the fast-DCT operator
-  /// larger DCT zones hold (the E25 memory axis).  A shared matrix is
-  /// counted in full by every zone that reads it.
+  /// Bytes of the basis this zone holds (the E25 memory axis):
+  /// 8 (w^2 + h^2) for the Kronecker factors of a separable DCT2 zone of
+  /// w x h <= 1024 points, 8 N^2 for a dense matrix (the stacked 1-D DCT
+  /// or a non-DCT basis), O(N) for the fast-DCT operator larger DCT zones
+  /// hold.
   std::size_t basis_state_bytes() const noexcept;
 
  private:
@@ -168,9 +168,9 @@ class NanoCloud {
   std::vector<middleware::MobileNode> nodes_;
   std::vector<std::size_t> covered_;          ///< cells with a node
   std::vector<std::size_t> cell_to_node_;     ///< cell -> index or npos
-  /// Synthesis basis, representation chosen by zone size (never null).
-  /// Immutable; zones of one shape share a separable DCT2 matrix.
-  std::shared_ptr<const linalg::LinearOperator> basis_;
+  /// Synthesis basis, representation chosen by zone shape and size
+  /// (never null).  Immutable.
+  std::unique_ptr<const linalg::LinearOperator> basis_;
 };
 
 }  // namespace sensedroid::hierarchy

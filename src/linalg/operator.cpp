@@ -1,5 +1,6 @@
 #include "linalg/operator.h"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
@@ -49,6 +50,19 @@ void LinearOperator::apply_transpose_block_into(std::span<const double> ys,
     apply_transpose_into(ys.subspan(b * rows(), rows()),
                          out.subspan(b * cols(), cols()));
   }
+}
+
+Matrix LinearOperator::select_rows(std::span<const std::size_t> idx) const {
+  for (std::size_t r : idx) {
+    if (r >= rows()) throw std::out_of_range("LinearOperator::select_rows");
+  }
+  Matrix out(idx.size(), cols());
+  Vector col(rows());
+  for (std::size_t c = 0; c < cols(); ++c) {
+    column_into(c, col);
+    for (std::size_t r = 0; r < idx.size(); ++r) out(r, c) = col[idx[r]];
+  }
+  return out;
 }
 
 Vector LinearOperator::apply(std::span<const double> x) const {
@@ -115,6 +129,120 @@ void DenseOperator::apply_transpose_block_into(std::span<const double> ys,
                                                std::size_t count,
                                                std::span<double> out) const {
   a_->transpose_times_block(ys, count, out);
+}
+
+Matrix DenseOperator::select_rows(std::span<const std::size_t> idx) const {
+  return a_->select_rows(idx);
+}
+
+// ---------------------------------------------------------------------------
+// KroneckerOperator: (A (x) B) x reshapes x into a cols(A) x cols(B)
+// row-major grid X and computes A X B^T; the transpose computes A^T Y B.
+// Both run as two passes over contiguous rows of the small factors.
+// Straight-line, no zero-skip: 0 * NaN must stay NaN.
+// ---------------------------------------------------------------------------
+
+KroneckerOperator::KroneckerOperator(Matrix a, Matrix b)
+    : a_(std::move(a)), b_(std::move(b)) {
+  if (a_.empty() || b_.empty()) {
+    throw std::invalid_argument("KroneckerOperator: empty factor");
+  }
+}
+
+void KroneckerOperator::apply_into(std::span<const double> x,
+                                   std::span<double> out) const {
+  if (x.size() != cols() || out.size() != rows()) {
+    throw std::invalid_argument("KroneckerOperator::apply_into: size");
+  }
+  const std::size_t p = a_.rows(), q = a_.cols();
+  const std::size_t r = b_.rows(), s = b_.cols();
+  // T = X B^T (q x r): T[j][k] = <row j of X, row k of B>.
+  Vector t(q * r);
+  for (std::size_t j = 0; j < q; ++j) {
+    const double* __restrict xj = x.data() + j * s;
+    double* __restrict tj = t.data() + j * r;
+    for (std::size_t k = 0; k < r; ++k) {
+      const double* __restrict bk = b_.row(k).data();
+      double acc = 0.0;
+      for (std::size_t l = 0; l < s; ++l) acc += bk[l] * xj[l];
+      tj[k] = acc;
+    }
+  }
+  // out = A T (p x r): row i accumulates A(i, j) * row j of T.
+  for (std::size_t i = 0; i < p; ++i) {
+    const double* __restrict ai = a_.row(i).data();
+    double* __restrict oi = out.data() + i * r;
+    std::fill(oi, oi + r, 0.0);
+    for (std::size_t j = 0; j < q; ++j) {
+      const double aij = ai[j];
+      const double* __restrict tj = t.data() + j * r;
+      for (std::size_t k = 0; k < r; ++k) oi[k] += aij * tj[k];
+    }
+  }
+}
+
+void KroneckerOperator::apply_transpose_into(std::span<const double> y,
+                                             std::span<double> out) const {
+  if (y.size() != rows() || out.size() != cols()) {
+    throw std::invalid_argument(
+        "KroneckerOperator::apply_transpose_into: size");
+  }
+  const std::size_t p = a_.rows(), q = a_.cols();
+  const std::size_t r = b_.rows(), s = b_.cols();
+  // U = Y B (p x s): row i accumulates Y[i][k] * row k of B.
+  Vector u(p * s, 0.0);
+  for (std::size_t i = 0; i < p; ++i) {
+    const double* __restrict yi = y.data() + i * r;
+    double* __restrict ui = u.data() + i * s;
+    for (std::size_t k = 0; k < r; ++k) {
+      const double yik = yi[k];
+      const double* __restrict bk = b_.row(k).data();
+      for (std::size_t l = 0; l < s; ++l) ui[l] += yik * bk[l];
+    }
+  }
+  // out = A^T U (q x s): row i of U feeds every output row j with A(i, j).
+  std::fill(out.begin(), out.end(), 0.0);
+  for (std::size_t i = 0; i < p; ++i) {
+    const double* __restrict ai = a_.row(i).data();
+    const double* __restrict ui = u.data() + i * s;
+    for (std::size_t j = 0; j < q; ++j) {
+      const double aij = ai[j];
+      double* __restrict oj = out.data() + j * s;
+      for (std::size_t l = 0; l < s; ++l) oj[l] += aij * ui[l];
+    }
+  }
+}
+
+void KroneckerOperator::column_into(std::size_t c,
+                                    std::span<double> out) const {
+  if (c >= cols()) throw std::out_of_range("KroneckerOperator::column_into");
+  if (out.size() != rows()) {
+    throw std::invalid_argument("KroneckerOperator::column_into: size");
+  }
+  const std::size_t r = b_.rows(), s = b_.cols();
+  const std::size_t j = c / s, l = c % s;
+  for (std::size_t i = 0; i < a_.rows(); ++i) {
+    const double aij = a_(i, j);
+    for (std::size_t k = 0; k < r; ++k) out[i * r + k] = aij * b_(k, l);
+  }
+}
+
+Matrix KroneckerOperator::select_rows(std::span<const std::size_t> idx) const {
+  for (std::size_t g : idx) {
+    if (g >= rows()) throw std::out_of_range("KroneckerOperator::select_rows");
+  }
+  const std::size_t r = b_.rows(), q = a_.cols(), s = b_.cols();
+  Matrix out(idx.size(), cols());
+  for (std::size_t m = 0; m < idx.size(); ++m) {
+    const auto ai = a_.row(idx[m] / r);
+    const double* __restrict bk = b_.row(idx[m] % r).data();
+    double* __restrict dst = out.row(m).data();
+    for (std::size_t j = 0; j < q; ++j) {
+      const double aij = ai[j];
+      for (std::size_t l = 0; l < s; ++l) dst[j * s + l] = aij * bk[l];
+    }
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -67,6 +67,12 @@ class LinearOperator {
                                           std::size_t count,
                                           std::span<double> out) const;
 
+  /// Rows `idx` of A as an idx.size() x cols() matrix (the M x N row
+  /// slice a measurement plan reads).  Throws std::out_of_range for an
+  /// index >= rows().  Default assembles every column; operators with a
+  /// closed form override so the slice holds exact entries.
+  virtual Matrix select_rows(std::span<const std::size_t> idx) const;
+
   /// Allocating conveniences.
   Vector apply(std::span<const double> x) const;
   Vector apply_transpose(std::span<const double> y) const;
@@ -87,8 +93,6 @@ class DenseOperator final : public LinearOperator {
   DenseOperator(const DenseOperator&) = delete;
   DenseOperator& operator=(const DenseOperator&) = delete;
 
-  const Matrix& matrix() const noexcept { return *a_; }
-
   std::size_t rows() const noexcept override { return a_->rows(); }
   std::size_t cols() const noexcept override { return a_->cols(); }
   std::size_t state_bytes() const noexcept override {
@@ -107,10 +111,45 @@ class DenseOperator final : public LinearOperator {
   void apply_transpose_block_into(std::span<const double> ys,
                                   std::size_t count,
                                   std::span<double> out) const override;
+  Matrix select_rows(std::span<const std::size_t> idx) const override;
 
  private:
   Matrix owned_;
   const Matrix* a_;
+};
+
+/// Kronecker product A (x) B of two dense factors, never formed: entry
+/// (i * B.rows() + k, j * B.cols() + l) is A(i, j) * B(k, l), the layout
+/// of kronecker() and dct2_basis.  A separable zone basis is exactly this
+/// shape (dct2_basis(w, h) == dct_basis(w) (x) dct_basis(h)), so a zone
+/// holds 8 (w^2 + h^2) bytes instead of 8 N^2.  apply and
+/// apply_transpose run as two small dense products, O(N (w + h)) instead
+/// of O(N^2); they round differently from the dense GEMV (within 1e-12
+/// relative).  column_into and select_rows compute every entry as the
+/// single product A(i, j) * B(k, l), as dct2_basis does, so refit
+/// matrices and synthesis columns match the dense basis bit for bit.
+class KroneckerOperator final : public LinearOperator {
+ public:
+  /// Takes both factors.  Throws std::invalid_argument when either is
+  /// empty.
+  KroneckerOperator(Matrix a, Matrix b);
+
+  std::size_t rows() const noexcept override { return a_.rows() * b_.rows(); }
+  std::size_t cols() const noexcept override { return a_.cols() * b_.cols(); }
+  std::size_t state_bytes() const noexcept override {
+    return (a_.rows() * a_.cols() + b_.rows() * b_.cols()) * sizeof(double);
+  }
+
+  void apply_into(std::span<const double> x,
+                  std::span<double> out) const override;
+  void apply_transpose_into(std::span<const double> y,
+                            std::span<double> out) const override;
+  void column_into(std::size_t c, std::span<double> out) const override;
+  Matrix select_rows(std::span<const std::size_t> idx) const override;
+
+ private:
+  Matrix a_;
+  Matrix b_;
 };
 
 /// Phi = (selected rows) x (orthonormal DCT synthesis basis), the

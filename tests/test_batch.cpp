@@ -474,8 +474,16 @@ TEST(NanoCloudBasis, RepresentationFollowsZoneSize) {
   cfg.cell_m = 1.0;  // keep the 64 x 32 zone inside one WiFi cell
   sl::Rng rng(113);
 
-  // Up to n = 1024 the zone holds the dense basis: 8 n^2 bytes.
-  const sh::NanoCloud dense_zone(at_crossover, cfg, rng);
+  // Up to n = 1024 a separable DCT zone holds its two Kronecker factors:
+  // 8 (w^2 + h^2) bytes, not the 8 n^2 of the dense matrix.
+  const sh::NanoCloud kron_zone(at_crossover, cfg, rng);
+  EXPECT_EQ(kron_zone.basis_state_bytes(),
+            std::size_t{(32 * 32 + 32 * 32) * sizeof(double)});
+
+  // The stacked 1-D DCT is not separable: a dense 8 n^2 matrix.
+  sh::NanoCloudConfig stacked = cfg;
+  stacked.separable_2d = false;
+  const sh::NanoCloud dense_zone(at_crossover, stacked, rng);
   EXPECT_EQ(dense_zone.basis_state_bytes(),
             std::size_t{1024 * 1024 * sizeof(double)});
 
@@ -487,7 +495,7 @@ TEST(NanoCloudBasis, RepresentationFollowsZoneSize) {
   EXPECT_LT(res.nrmse, 0.1);
 }
 
-TEST(NanoCloudBasis, SameShapeZonesShareOneBasis) {
+TEST(NanoCloudBasis, SameShapeZonesOwnEqualBases) {
   sl::Rng field_rng(114);
   const auto a = sf::random_plume_field(16, 16, 2, field_rng, 20.0);
   const auto b = sf::random_plume_field(16, 16, 2, field_rng, 20.0);
@@ -496,35 +504,27 @@ TEST(NanoCloudBasis, SameShapeZonesShareOneBasis) {
   cfg.coverage = 1.0;
   sl::Rng rng(115);
 
-  // Same shape, separable DCT2: one matrix, still counted in full by
-  // each zone (basis_state_bytes keeps its meaning).
+  // A separable DCT2 basis is 8 (w^2 + h^2) bytes, so every zone holds its
+  // own copy; same-shape copies are entry-for-entry dct2_basis.
   auto za = std::make_unique<sh::NanoCloud>(a, cfg, rng);
   const sh::NanoCloud zb(b, cfg, rng);
-  EXPECT_EQ(&za->basis(), &zb.basis());
-  EXPECT_EQ(zb.basis_state_bytes(), std::size_t{256 * 256 * sizeof(double)});
+  EXPECT_NE(&za->basis(), &zb.basis());
+  EXPECT_EQ(zb.basis_state_bytes(), std::size_t{2 * 16 * 16 * sizeof(double)});
+  const sl::Matrix want = sl::dct2_basis(16, 16);
+  EXPECT_EQ(max_abs_diff(za->basis().to_dense().data(), want.data()), 0.0);
+  EXPECT_EQ(max_abs_diff(zb.basis().to_dense().data(), want.data()), 0.0);
 
-  // Another shape with the same N gets its own matrix.
+  // Another shape with the same N: its own factors, 8 (32^2 + 8^2) bytes.
   const sh::NanoCloud zw(wide, cfg, rng);
-  EXPECT_NE(&zw.basis(), &zb.basis());
+  EXPECT_EQ(zw.basis_state_bytes(),
+            std::size_t{(32 * 32 + 8 * 8) * sizeof(double)});
+  EXPECT_EQ(max_abs_diff(zw.basis().to_dense().data(),
+                         sl::dct2_basis(32, 8).data()),
+            0.0);
 
-  // Non-separable DCT and rng-seeded bases are never shared.
-  for (const bool haar : {false, true}) {
-    sh::NanoCloudConfig other = cfg;
-    if (haar) {
-      other.basis = sl::BasisKind::kHaar;
-    } else {
-      other.separable_2d = false;
-    }
-    const sh::NanoCloud x(a, other, rng);
-    const sh::NanoCloud y(a, other, rng);
-    EXPECT_NE(&x.basis(), &y.basis()) << "haar=" << haar;
-    EXPECT_NE(&x.basis(), &zb.basis()) << "haar=" << haar;
-  }
-
-  // The shared matrix outlives any one of its zones.
+  // A zone's basis lives and dies with the zone; the others keep running.
   za.reset();
   sh::NanoCloud zc(b, cfg, rng);
-  EXPECT_EQ(&zc.basis(), &zb.basis());
   const auto res = zc.gather(80, rng);
   EXPECT_GT(res.m_used, 60u);
   EXPECT_LT(res.nrmse, 0.2);
