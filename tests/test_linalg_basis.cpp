@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <stdexcept>
 
 #include "linalg/basis.h"
@@ -13,10 +14,17 @@ namespace sl = sensedroid::linalg;
 
 // ----- parameterized orthonormality across all constructible bases -----
 
+// gtest prints a param without a PrintTo as its raw bytes, and those bytes
+// end up in the test names. The padding after the one-byte kind is an
+// explicit zeroed member, so every copy prints the same bytes on every run.
 struct BasisCase {
+  BasisCase(sl::BasisKind k, std::size_t size) : kind(k), n(size) {}
   sl::BasisKind kind;
+  std::uint8_t zero_pad[sizeof(std::size_t) - sizeof(sl::BasisKind)] = {};
   std::size_t n;
 };
+static_assert(sizeof(BasisCase) == 2 * sizeof(std::size_t),
+              "BasisCase must have no implicit padding");
 
 class BasisOrthonormality : public ::testing::TestWithParam<BasisCase> {};
 
