@@ -1,22 +1,9 @@
 #include "gateway/gateway.h"
 
-#include <cerrno>
 #include <chrono>
-#include <cstring>
-#include <map>
-#include <optional>
 #include <stdexcept>
 #include <utility>
 #include <vector>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 #include "middleware/wire.h"
 #include "obs/metrics.h"
@@ -27,63 +14,64 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-int make_tcp_listener(std::uint16_t port, std::uint16_t* bound_port) {
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
-  if (fd < 0) return -1;
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);  // host-local by design
-  addr.sin_port = htons(port);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(fd, 128) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  *bound_port = ntohs(addr.sin_port);
-  return fd;
-}
-
-int make_uds_listener(const std::string& path) {
-  sockaddr_un addr{};
-  if (path.size() >= sizeof(addr.sun_path)) return -1;
-  const int fd =
-      ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
-  if (fd < 0) return -1;
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  ::unlink(path.c_str());  // replace a stale socket file
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-          0 ||
-      ::listen(fd, 128) != 0) {
-    ::close(fd);
-    return -1;
-  }
-  return fd;
-}
+// Per-connection unread-ack ceiling: a publisher that never reads its
+// status bytes is dropped once this much of them is pending.
+constexpr std::size_t kMaxPendingAckBytes = std::size_t{1} << 20;
 
 }  // namespace
 
-// Per-connection state: an incremental frame parser on the read side and
-// a pending status-byte buffer on the write side.  Nothing here blocks.
-struct Gateway::Conn {
-  explicit Conn(std::size_t max_frame_bytes) : splitter(max_frame_bytes) {}
+// One publisher connection: an incremental frame parser; its status
+// bytes go out through the reactor's pending-out buffer.
+struct Gateway::Publisher final : net::Session {
+  explicit Publisher(Gateway& g)
+      : gw(g), splitter(g.config_.max_frame_bytes) {}
+
+  bool on_data(net::Conn& conn,
+               std::span<const std::uint8_t> bytes) override {
+    conn.touch();
+    gw.bytes_rx_.fetch_add(bytes.size(), std::memory_order_relaxed);
+    splitter.feed(bytes);
+    for (;;) {
+      const FrameSplitter::Status st = splitter.next(frame);
+      if (st == FrameSplitter::Status::kNeedMore) break;
+      if (st == FrameSplitter::Status::kViolation) {
+        gw.violations_.fetch_add(1, std::memory_order_relaxed);
+        return false;
+      }
+      gw.frames_.fetch_add(1, std::memory_order_relaxed);
+      IngestStatus status;
+      auto msg = middleware::decode_message(frame);
+      if (!msg.has_value()) {
+        gw.decode_errors_.fetch_add(1, std::memory_order_relaxed);
+        status = IngestStatus::kBad;
+      } else {
+        // Cache BEFORE the queue decision: overload sheds throughput, not
+        // last-known-state visibility (sensd contract, DESIGN.md §14).
+        gw.cache_->update(*msg);
+        if (gw.queue_->try_push(IngestItem{std::move(*msg), Clock::now()})) {
+          gw.accepted_.fetch_add(1, std::memory_order_relaxed);
+          status = IngestStatus::kAck;
+        } else {
+          gw.busy_.fetch_add(1, std::memory_order_relaxed);
+          status = IngestStatus::kBusy;
+        }
+      }
+      const char ack = static_cast<char>(status);
+      conn.write({&ack, 1});
+    }
+    return conn.pending() <= kMaxPendingAckBytes;  // else: acks go unread
+  }
+
+  void on_close(net::Close why) override {
+    if (why != net::Close::kShutdown) {
+      gw.conns_dropped_.fetch_add(1, std::memory_order_relaxed);
+    }
+    gw.conns_active_.fetch_sub(1, std::memory_order_relaxed);
+  }
+
+  Gateway& gw;
   FrameSplitter splitter;
-  std::string out;            ///< unsent status bytes
-  std::size_t out_off = 0;
-  bool want_write = false;    ///< EPOLLOUT currently armed
-  Clock::time_point deadline;
-  std::uint64_t id = 0;
-  std::uint64_t frames = 0;   ///< per-conn, for per_connection_metrics
-  std::uint64_t busy = 0;
+  std::vector<std::uint8_t> frame;  // the frame being decoded
 };
 
 Gateway::Gateway(GatewayConfig config, Sink sink)
@@ -101,58 +89,34 @@ Gateway::Gateway(GatewayConfig config, Sink sink)
 Gateway::~Gateway() { stop(); }
 
 bool Gateway::start() {
-  if (running_.load(std::memory_order_acquire)) return true;
-
-  if (config_.listen_tcp) {
-    tcp_listen_fd_ = make_tcp_listener(config_.tcp_port, &tcp_port_);
-    if (tcp_listen_fd_ < 0) return false;
-  }
-  if (!config_.uds_path.empty()) {
-    uds_listen_fd_ = make_uds_listener(config_.uds_path);
-    if (uds_listen_fd_ < 0) {
-      if (tcp_listen_fd_ >= 0) ::close(tcp_listen_fd_);
-      tcp_listen_fd_ = -1;
-      return false;
-    }
-  }
-  wake_fd_ = ::eventfd(0, EFD_CLOEXEC);
-  if (wake_fd_ < 0) {
-    if (tcp_listen_fd_ >= 0) ::close(tcp_listen_fd_);
-    if (uds_listen_fd_ >= 0) ::close(uds_listen_fd_);
-    tcp_listen_fd_ = uds_listen_fd_ = -1;
-    return false;
-  }
-
-  running_.store(true, std::memory_order_release);
-  serve_thread_ = std::thread([this] { serve_loop(); });
+  if (running()) return true;
+  // stop() closed the previous queue; a closed queue refuses every push.
+  queue_ = std::make_unique<IngestQueue>(config_.queue_depth);
+  net::Reactor::Options opts;
+  opts.tcp_port = config_.tcp_port;
+  opts.listen_tcp = config_.listen_tcp;
+  opts.uds_path = config_.uds_path;
+  opts.max_connections = config_.max_connections;
+  opts.idle_timeout_s = config_.idle_timeout_s;
+  // The publish cadence: a live scrape sees the socket-side counters at
+  // most this stale, the drain thread's series being always fresh.
+  opts.tick_s = 0.1;
+  if (!reactor_.start(opts)) return false;
   drain_thread_ = std::thread([this] { drain_loop(); });
   return true;
 }
 
 void Gateway::stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  const std::uint64_t one = 1;
-  ssize_t ignored = ::write(wake_fd_, &one, sizeof(one));
-  (void)ignored;
-  if (serve_thread_.joinable()) serve_thread_.join();
+  if (!running()) return;
+  reactor_.stop();
   // The socket side is quiet now; close the queue so the drain thread
   // finishes delivering what was already accepted, then exits.
   queue_->close();
   if (drain_thread_.joinable()) drain_thread_.join();
 
-  if (tcp_listen_fd_ >= 0) ::close(tcp_listen_fd_);
-  if (uds_listen_fd_ >= 0) ::close(uds_listen_fd_);
-  ::close(wake_fd_);
-  tcp_listen_fd_ = uds_listen_fd_ = wake_fd_ = -1;
-  if (!config_.uds_path.empty()) ::unlink(config_.uds_path.c_str());
-
-  // Final metric flush so post-run scrapes see the exact totals.
-  const Stats s = stats();
-  obs::set_gauge("gw.conn.active", 0.0);
-  obs::set_gauge("gw.ingest.queue_depth", 0.0);
-  obs::set_gauge("gw.cache.size", static_cast<double>(cache_->size()));
-  obs::set_gauge("gw.ingest.queue_peak_depth",
-                 static_cast<double>(s.queue_peak_depth));
+  // Final metric flush so post-run scrapes see the exact totals (no
+  // connection left, the queue drained).
+  tick();
 }
 
 Gateway::Stats Gateway::stats() const noexcept {
@@ -172,271 +136,50 @@ Gateway::Stats Gateway::stats() const noexcept {
   return s;
 }
 
-// Processes whatever the socket has ready.  Returns false when the
-// connection must be dropped (peer closed, framing violation, or the
-// peer stopped reading its status bytes).
-bool Gateway::handle_readable(int fd, Conn& c) {
-  char buf[65536];
-  bool progressed = false;
-  bool peer_closed = false;
-  // Bounded per-event read so one firehose connection cannot starve the
-  // rest of the loop; epoll is level-triggered, so leftover kernel bytes
-  // re-arm the event immediately.
-  std::size_t budget = 4 * sizeof(buf);
-  while (budget > 0) {
-    const ssize_t got =
-        ::recv(fd, buf, std::min(sizeof(buf), budget), 0);
-    if (got > 0) {
-      progressed = true;
-      budget -= static_cast<std::size_t>(got);
-      bytes_rx_.fetch_add(static_cast<std::uint64_t>(got),
-                          std::memory_order_relaxed);
-      c.splitter.feed({reinterpret_cast<const std::uint8_t*>(buf),
-                       static_cast<std::size_t>(got)});
-      continue;
-    }
-    if (got < 0 && errno == EINTR) continue;
-    if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    peer_closed = true;  // got == 0 (orderly close) or hard error
-    break;
-  }
-  if (progressed) c.deadline = Clock::now() + std::chrono::duration_cast<
-      Clock::duration>(std::chrono::duration<double>(config_.idle_timeout_s));
-
-  std::vector<std::uint8_t> frame;
-  for (;;) {
-    const FrameSplitter::Status st = c.splitter.next(frame);
-    if (st == FrameSplitter::Status::kNeedMore) break;
-    if (st == FrameSplitter::Status::kViolation) {
-      violations_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    frames_.fetch_add(1, std::memory_order_relaxed);
-    ++c.frames;
-    IngestStatus status;
-    auto msg = middleware::decode_message(frame);
-    if (!msg.has_value()) {
-      decode_errors_.fetch_add(1, std::memory_order_relaxed);
-      status = IngestStatus::kBad;
-    } else {
-      // Cache BEFORE the queue decision: overload sheds throughput, not
-      // last-known-state visibility (sensd contract, DESIGN.md §14).
-      cache_->update(*msg);
-      if (queue_->try_push(IngestItem{std::move(*msg), Clock::now()})) {
-        accepted_.fetch_add(1, std::memory_order_relaxed);
-        status = IngestStatus::kAck;
-      } else {
-        busy_.fetch_add(1, std::memory_order_relaxed);
-        ++c.busy;
-        status = IngestStatus::kBusy;
-      }
-    }
-    c.out.push_back(static_cast<char>(status));
-  }
-  if (c.out.size() - c.out_off > config_.max_pending_out_bytes) {
-    return false;  // peer is not reading its acks
-  }
-  return !peer_closed || c.out.size() > c.out_off;
+std::unique_ptr<net::Session> Gateway::open() {
+  conns_opened_.fetch_add(1, std::memory_order_relaxed);
+  conns_active_.fetch_add(1, std::memory_order_relaxed);
+  return std::make_unique<Publisher>(*this);
 }
 
-// Non-blocking flush of pending status bytes; sets `dead` on hard error.
-void Gateway::flush_out(int fd, Conn& c, bool& dead) {
-  dead = false;
-  while (c.out_off < c.out.size()) {
-    const ssize_t sent = ::send(fd, c.out.data() + c.out_off,
-                                c.out.size() - c.out_off, MSG_NOSIGNAL);
-    if (sent > 0) {
-      c.out_off += static_cast<std::size_t>(sent);
-      continue;
-    }
-    if (sent < 0 && errno == EINTR) continue;
-    if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
-    dead = true;
-    return;
-  }
-  // Fully flushed: reclaim the buffer so a long-lived connection's ack
-  // history does not accumulate.
-  c.out.clear();
-  c.out_off = 0;
+void Gateway::refused() {
+  conns_dropped_.fetch_add(1, std::memory_order_relaxed);
 }
 
-void Gateway::serve_loop() {
-  const int ep = ::epoll_create1(EPOLL_CLOEXEC);
-  if (ep < 0) return;
-  epoll_fd_ = ep;
-  const auto add_fd = [&](int fd) {
-    epoll_event ev{};
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    ::epoll_ctl(ep, EPOLL_CTL_ADD, fd, &ev);
+// Publishes the aggregate gw.* series from the atomics.  Counters are
+// advanced by delta so the hot path never touches the registry's
+// name->series map.
+void Gateway::tick() {
+  if (!obs::attached()) return;
+  const Stats s = stats();
+  const auto delta = [](std::uint64_t cur, std::uint64_t prev) {
+    return static_cast<double>(cur - prev);
   };
-  if (tcp_listen_fd_ >= 0) add_fd(tcp_listen_fd_);
-  if (uds_listen_fd_ >= 0) add_fd(uds_listen_fd_);
-  add_fd(wake_fd_);
-
-  std::map<int, Conn> conns;
-  std::uint64_t next_conn_id = 1;
-  const auto timeout = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(config_.idle_timeout_s));
-
-  const auto drop = [&](int fd) {
-    conns_dropped_.fetch_add(1, std::memory_order_relaxed);
-    conns_active_.fetch_sub(1, std::memory_order_relaxed);
-    ::epoll_ctl(ep, EPOLL_CTL_DEL, fd, nullptr);
-    ::close(fd);
-    conns.erase(fd);
-  };
-  const auto set_interest = [&](int fd, Conn& c, bool want_write) {
-    if (c.want_write == want_write) return;
-    c.want_write = want_write;
-    epoll_event ev{};
-    ev.events = want_write ? (EPOLLIN | EPOLLOUT) : EPOLLIN;
-    ev.data.fd = fd;
-    ::epoll_ctl(ep, EPOLL_CTL_MOD, fd, &ev);
-  };
-  // Publishes the aggregate gw.* series from the atomics.  Counters are
-  // advanced by delta so the hot path never touches the registry's
-  // name->series map; ~100 ms cadence keeps live scrapes honest.
-  Stats last_pub;
-  const auto publish_metrics = [&] {
-    if (!obs::attached()) return;
-    const Stats s = stats();
-    const auto delta = [](std::uint64_t cur, std::uint64_t prev) {
-      return static_cast<double>(cur - prev);
-    };
-    obs::add_counter("gw.conn.opened",
-                     delta(s.connections_opened, last_pub.connections_opened));
-    obs::add_counter("gw.conn.dropped",
-                     delta(s.connections_dropped,
-                           last_pub.connections_dropped));
-    obs::add_counter("gw.ingest.frames", delta(s.frames, last_pub.frames));
-    obs::add_counter("gw.ingest.accepted",
-                     delta(s.accepted, last_pub.accepted));
-    obs::add_counter("gw.ingest.busy",
-                     delta(s.busy_rejected, last_pub.busy_rejected));
-    obs::add_counter("gw.ingest.decode_errors",
-                     delta(s.decode_errors, last_pub.decode_errors));
-    obs::add_counter("gw.conn.violations",
-                     delta(s.framing_violations, last_pub.framing_violations));
-    obs::add_counter("gw.rx.bytes",
-                     delta(s.bytes_received, last_pub.bytes_received));
-    obs::set_gauge("gw.conn.active",
-                   static_cast<double>(s.active_connections));
-    obs::set_gauge("gw.ingest.queue_depth",
-                   static_cast<double>(queue_->depth()));
-    obs::set_gauge("gw.ingest.queue_peak_depth",
-                   static_cast<double>(s.queue_peak_depth));
-    obs::set_gauge("gw.cache.size", static_cast<double>(cache_->size()));
-    obs::set_gauge("gw.cache.evictions",
-                   static_cast<double>(cache_->evictions()));
-    if (config_.per_connection_metrics) {
-      // Cumulative per-connection gauges, labelled by connection id.
-      // Opt-in: the registry's cardinality guard would otherwise eat
-      // these at 10k+ connections.
-      for (const auto& [fd, c] : conns) {
-        const obs::Labels labels = {{"conn", std::to_string(c.id)}};
-        obs::set_gauge("gw.conn.frames", labels,
-                       static_cast<double>(c.frames));
-        obs::set_gauge("gw.conn.busy", labels, static_cast<double>(c.busy));
-      }
-    }
-    last_pub = s;
-  };
-
-  auto next_publish = Clock::now();
-  while (running_.load(std::memory_order_acquire)) {
-    epoll_event events[64];
-    int wait_ms = std::max(
-        50, std::min(1000, static_cast<int>(config_.idle_timeout_s * 250.0)));
-    // With telemetry attached the publish cadence bounds the wait:
-    // otherwise a post-burst idle socket leaves the epoll-side counters
-    // (frames/bytes/accepted) stale for up to wait_ms while the drain
-    // thread's series stay fresh — an incoherent live scrape.
-    if (obs::attached()) wait_ms = std::min(wait_ms, 100);
-    const int n = ::epoll_wait(ep, events, 64, wait_ms);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (!running_.load(std::memory_order_acquire)) break;
-
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == wake_fd_) continue;  // loop condition re-checked above
-
-      if (fd == tcp_listen_fd_ || fd == uds_listen_fd_) {
-        for (;;) {
-          const int conn = ::accept4(fd, nullptr, nullptr,
-                                     SOCK_NONBLOCK | SOCK_CLOEXEC);
-          if (conn < 0) break;
-          if (conns.size() >= config_.max_connections) {
-            // Refuse, never queue: identical to the telemetry server's
-            // cap semantics.
-            ::close(conn);
-            conns_dropped_.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          const int one = 1;
-          ::setsockopt(conn, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-          Conn c(config_.max_frame_bytes);
-          c.deadline = Clock::now() + timeout;
-          c.id = next_conn_id++;
-          conns.emplace(conn, std::move(c));
-          conns_opened_.fetch_add(1, std::memory_order_relaxed);
-          conns_active_.fetch_add(1, std::memory_order_relaxed);
-          epoll_event r{};
-          r.events = EPOLLIN;
-          r.data.fd = conn;
-          ::epoll_ctl(ep, EPOLL_CTL_ADD, conn, &r);
-        }
-        continue;
-      }
-
-      const auto it = conns.find(fd);
-      if (it == conns.end()) continue;
-      Conn& c = it->second;
-
-      if (events[i].events & (EPOLLHUP | EPOLLERR)) {
-        drop(fd);
-        continue;
-      }
-      if (events[i].events & EPOLLIN) {
-        if (!handle_readable(fd, c)) {
-          drop(fd);
-          continue;
-        }
-      }
-      bool dead = false;
-      flush_out(fd, c, dead);
-      if (dead) {
-        drop(fd);
-        continue;
-      }
-      set_interest(fd, c, c.out_off < c.out.size());
-    }
-
-    const auto now = Clock::now();
-    if (now >= next_publish) {
-      publish_metrics();
-      next_publish = now + std::chrono::milliseconds(100);
-    }
-    // Idle-deadline sweep: a peer that sent nothing (complete or
-    // partial frame alike) for idle_timeout_s is dead weight —
-    // slowloris defense inherited from the telemetry server.
-    std::vector<int> expired;
-    for (const auto& [fd, c] : conns) {
-      if (now >= c.deadline) expired.push_back(fd);
-    }
-    for (int fd : expired) drop(fd);
-  }
-
-  for (const auto& [fd, c] : conns) {
-    ::close(fd);
-    conns_active_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  publish_metrics();
-  ::close(ep);
-  epoll_fd_ = -1;
+  obs::add_counter("gw.conn.opened",
+                   delta(s.connections_opened, last_pub_.connections_opened));
+  obs::add_counter("gw.conn.dropped", delta(s.connections_dropped,
+                                            last_pub_.connections_dropped));
+  obs::add_counter("gw.ingest.frames", delta(s.frames, last_pub_.frames));
+  obs::add_counter("gw.ingest.accepted",
+                   delta(s.accepted, last_pub_.accepted));
+  obs::add_counter("gw.ingest.busy",
+                   delta(s.busy_rejected, last_pub_.busy_rejected));
+  obs::add_counter("gw.ingest.decode_errors",
+                   delta(s.decode_errors, last_pub_.decode_errors));
+  obs::add_counter("gw.conn.violations",
+                   delta(s.framing_violations, last_pub_.framing_violations));
+  obs::add_counter("gw.rx.bytes",
+                   delta(s.bytes_received, last_pub_.bytes_received));
+  obs::set_gauge("gw.conn.active",
+                 static_cast<double>(s.active_connections));
+  obs::set_gauge("gw.ingest.queue_depth",
+                 static_cast<double>(queue_->depth()));
+  obs::set_gauge("gw.ingest.queue_peak_depth",
+                 static_cast<double>(s.queue_peak_depth));
+  obs::set_gauge("gw.cache.size", static_cast<double>(cache_->size()));
+  obs::set_gauge("gw.cache.evictions",
+                 static_cast<double>(cache_->evictions()));
+  last_pub_ = s;
 }
 
 void Gateway::drain_loop() {

@@ -5,10 +5,12 @@
 // (loopback) and/or a Unix-domain socket, speaks the length-prefixed
 // framing of the middleware wire codec (gateway/framing.h), and feeds
 // every decoded report through a bounded queue into a caller-supplied
-// sink — a Broker, a LocalCloud router, or a bench counter.  One epoll
-// thread owns every socket non-blockingly (the hardened patterns of
-// obs/telemetry_server.cpp: connection cap, per-connection byte bounds,
-// idle-deadline sweeps); one drain thread owns the sink.
+// sink — a Broker, a LocalCloud router, or a bench counter.  It is a
+// protocol handler on a net::Reactor (net/reactor.h), the socket loop it
+// shares with the telemetry server: the reactor's thread owns every
+// socket non-blockingly (connection cap, per-event read budget, idle
+// sweep), the handler adds the framing and a pending-ack cap, and one
+// drain thread owns the sink.
 //
 // Ingest contract, per frame, answered with one status byte in
 // submission order (gateway/framing.h IngestStatus):
@@ -40,6 +42,7 @@
 #include "gateway/ingest_queue.h"
 #include "gateway/last_report_cache.h"
 #include "middleware/pubsub.h"
+#include "net/reactor.h"
 
 namespace sensedroid::gateway {
 
@@ -62,10 +65,6 @@ struct GatewayConfig {
   /// absurd claims without buffering toward them.
   std::size_t max_frame_bytes = middleware::kMaxFrameBytes;
 
-  /// Per-connection unread-ack ceiling: a publisher that never reads its
-  /// status bytes is dropped once this much response data is pending.
-  std::size_t max_pending_out_bytes = 1u << 20;
-
   /// Bounded ingest queue depth — the backpressure knob.
   std::size_t queue_depth = 4096;
 
@@ -75,15 +74,9 @@ struct GatewayConfig {
   /// Connections with no received bytes for this long are swept
   /// (slowloris / dead-peer defense).
   double idle_timeout_s = 30.0;
-
-  /// Also emit per-connection series gw.conn.frames{conn="<id>"} /
-  /// gw.conn.busy{conn="<id>"}.  Off by default: at 10k+ connections the
-  /// label cardinality would drown the registry (its own guard would
-  /// start dropping series); aggregate counters are always emitted.
-  bool per_connection_metrics = false;
 };
 
-class Gateway {
+class Gateway : private net::Handler {
  public:
   /// Delivery target, called from the drain thread only (single
   /// consumer, so an in-process Broker sink needs no extra locking as
@@ -98,9 +91,9 @@ class Gateway {
   Gateway(const Gateway&) = delete;
   Gateway& operator=(const Gateway&) = delete;
 
-  /// Binds listeners and spawns the epoll + drain threads.  False (with
-  /// everything torn down again) when socket setup fails.  Idempotent
-  /// while running.
+  /// Binds listeners and spawns the socket + drain threads, with a fresh
+  /// ingest queue.  False (with everything torn down again) when socket
+  /// or epoll setup fails.  Idempotent while running.
   bool start();
 
   /// Stops accepting, drains the queue through the sink, joins both
@@ -108,11 +101,9 @@ class Gateway {
   /// run by the destructor.
   void stop();
 
-  bool running() const noexcept {
-    return running_.load(std::memory_order_acquire);
-  }
+  bool running() const noexcept { return reactor_.running(); }
   /// Bound TCP port (valid after start() when listen_tcp).
-  std::uint16_t tcp_port() const noexcept { return tcp_port_; }
+  std::uint16_t tcp_port() const noexcept { return reactor_.tcp_port(); }
   const GatewayConfig& config() const noexcept { return config_; }
 
   /// Queryable last-report cache (sensd idiom).
@@ -132,31 +123,23 @@ class Gateway {
     std::uint64_t delivered = 0;       ///< sink completed
     std::uint64_t sink_errors = 0;     ///< sink threw (message dropped)
     std::uint64_t bytes_received = 0;
-    std::uint64_t queue_peak_depth = 0;
+    std::uint64_t queue_peak_depth = 0;  ///< since the last start()
   };
   Stats stats() const noexcept;
 
  private:
-  struct Conn;
+  struct Publisher;
 
-  void serve_loop();
+  std::unique_ptr<net::Session> open() override;
+  void refused() override;
+  void tick() override;  // publishes the gw.* series
   void drain_loop();
-  bool handle_readable(int fd, Conn& c);
-  void flush_out(int fd, Conn& c, bool& dead);
 
   GatewayConfig config_;
   Sink sink_;
   std::unique_ptr<IngestQueue> queue_;
   std::unique_ptr<LastReportCache> cache_;
-
-  int tcp_listen_fd_ = -1;
-  int uds_listen_fd_ = -1;
-  int wake_fd_ = -1;
-  int epoll_fd_ = -1;
-  std::uint16_t tcp_port_ = 0;
-  std::thread serve_thread_;
-  std::thread drain_thread_;
-  std::atomic<bool> running_{false};
+  Stats last_pub_;  // counters at the last tick (serve thread, then stop())
 
   std::atomic<std::uint64_t> conns_opened_{0};
   std::atomic<std::uint64_t> conns_dropped_{0};
@@ -169,6 +152,9 @@ class Gateway {
   std::atomic<std::uint64_t> delivered_{0};
   std::atomic<std::uint64_t> sink_errors_{0};
   std::atomic<std::uint64_t> bytes_rx_{0};
+  // Threads last: they use everything above.
+  std::thread drain_thread_;
+  net::Reactor reactor_{*this};
 };
 
 }  // namespace sensedroid::gateway

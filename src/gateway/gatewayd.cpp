@@ -11,11 +11,14 @@
 //            [--max-conns N] [--cache N] [--idle-timeout SECONDS]
 //            [--telemetry-port PORT] [--quiet]
 //
-// Runs until SIGINT/SIGTERM, then drains the ingest queue and exits 0.
+// A malformed or out-of-range flag value prints the usage line and
+// exits 2.  Runs until SIGINT/SIGTERM, then drains the ingest queue and
+// exits 0.
 // Prints the bound ports on startup (machine-parseable `key=value`
 // lines) so scripts can drive an ephemeral-port instance.
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -45,6 +48,19 @@ void on_signal(int) { g_stop.store(true, std::memory_order_relaxed); }
   std::exit(2);
 }
 
+// The whole of `arg` as a number in [lo, hi] (a whole number when
+// `integral`); anything else is a usage error.
+double parse_number(const char* arg, double lo, double hi, bool integral,
+                    const char* argv0) {
+  char* end = nullptr;
+  const double v = std::strtod(arg, &end);
+  if (end == arg || *end != '\0' || !(v >= lo && v <= hi) ||
+      (integral && v != std::floor(v))) {
+    usage_and_exit(argv0);
+  }
+  return v;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -62,20 +78,26 @@ int main(int argc, char** argv) {
       if (i + 1 >= argc) usage_and_exit(argv[0]);
       return argv[++i];
     };
+    const auto count = [&](double lo, double hi) {
+      return static_cast<std::size_t>(
+          parse_number(next(), lo, hi, /*integral=*/true, argv[0]));
+    };
     if (arg == "--listen") {
-      cfg.tcp_port = static_cast<std::uint16_t>(std::atoi(next()));
+      cfg.tcp_port = static_cast<std::uint16_t>(count(0, 65535));
     } else if (arg == "--uds") {
       cfg.uds_path = next();
     } else if (arg == "--queue-depth") {
-      cfg.queue_depth = static_cast<std::size_t>(std::atol(next()));
+      cfg.queue_depth = count(1, 1 << 24);
     } else if (arg == "--max-conns") {
-      cfg.max_connections = static_cast<std::size_t>(std::atol(next()));
+      cfg.max_connections = count(1, 1 << 20);
     } else if (arg == "--cache") {
-      cfg.cache_capacity = static_cast<std::size_t>(std::atol(next()));
+      cfg.cache_capacity = count(1, 1 << 24);
     } else if (arg == "--idle-timeout") {
-      cfg.idle_timeout_s = std::atof(next());
+      // At least 1 ms (a zero deadline reaps every connection), at most a day.
+      cfg.idle_timeout_s = parse_number(next(), 1e-3, 86400.0,
+                                        /*integral=*/false, argv[0]);
     } else if (arg == "--telemetry-port") {
-      telemetry_port = static_cast<std::uint16_t>(std::atoi(next()));
+      telemetry_port = static_cast<std::uint16_t>(count(0, 65535));
     } else if (arg == "--quiet") {
       quiet = true;
     } else {

@@ -1,18 +1,7 @@
 #include "obs/telemetry_server.h"
 
-#include <cerrno>
-#include <chrono>
-#include <cstring>
-#include <map>
+#include <algorithm>
 #include <utility>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/epoll.h>
-#include <sys/eventfd.h>
-#include <sys/socket.h>
-#include <unistd.h>
 
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
@@ -33,17 +22,58 @@ const char* status_text(int status) {
   }
 }
 
-std::string render(const TelemetryServer::Response& resp) {
-  std::string out = "HTTP/1.0 " + std::to_string(resp.status) + " " +
-                    status_text(resp.status) +
-                    "\r\nContent-Type: " + resp.content_type +
-                    "\r\nContent-Length: " + std::to_string(resp.body.size()) +
-                    "\r\nConnection: close\r\n\r\n";
-  out += resp.body;
-  return out;
-}
-
 }  // namespace
+
+// One connection: buffers the request up to the header terminator (or
+// the byte bound), queues the response, and closes once it is sent.
+struct TelemetryServer::Request final : net::Session {
+  explicit Request(TelemetryServer& s) : server(s) {}
+
+  bool on_data(net::Conn& conn,
+               std::span<const std::uint8_t> bytes) override {
+    // Keep at most one byte past the bound: enough to know it is over.
+    const std::size_t cap = server.limits_.max_request_bytes;
+    in.append(reinterpret_cast<const char*>(bytes.data()),
+              std::min(bytes.size(), cap + 1 - in.size()));
+    if (in.size() > cap) {
+      respond(conn, {400, "text/plain; charset=utf-8",
+                     "request too large\n"});
+    } else if (in.find("\r\n\r\n") != std::string::npos) {
+      const std::string_view line =
+          std::string_view(in).substr(0, in.find("\r\n"));
+      if (!line.starts_with("GET ")) {
+        respond(conn, {405, "text/plain; charset=utf-8", "GET only\n"});
+      } else {
+        std::string_view path = line.substr(4);
+        path = path.substr(0, path.find(' '));
+        respond(conn, server.handle(path.substr(0, path.find('?'))));
+      }
+    }
+    return true;  // else wait for more bytes (or the deadline sweep)
+  }
+
+  void on_close(net::Close why) override {
+    if (why == net::Close::kDone) {
+      server.served_.fetch_add(1, std::memory_order_relaxed);
+    } else if (why == net::Close::kDropped) {
+      server.dropped_.fetch_add(1, std::memory_order_relaxed);
+    }
+  }
+
+  static void respond(net::Conn& conn, const Response& resp) {
+    conn.write("HTTP/1.0 " + std::to_string(resp.status) + " " +
+               status_text(resp.status) +
+               "\r\nContent-Type: " + resp.content_type +
+               "\r\nContent-Length: " + std::to_string(resp.body.size()) +
+               "\r\nConnection: close\r\n\r\n");
+    conn.write(resp.body);
+    conn.touch();  // the deadline restarts for sending the response
+    conn.close_when_flushed();
+  }
+
+  TelemetryServer& server;
+  std::string in;
+};
 
 TelemetryServer::TelemetryServer(TelemetrySources sources, std::uint16_t port)
     : sources_(std::move(sources)), requested_port_(port) {}
@@ -51,238 +81,21 @@ TelemetryServer::TelemetryServer(TelemetrySources sources, std::uint16_t port)
 TelemetryServer::~TelemetryServer() { stop(); }
 
 bool TelemetryServer::start() {
-  if (running_.load(std::memory_order_acquire)) return true;
-
-  // The listen socket must be non-blocking: the serve loop accepts in a
-  // drain-everything loop and relies on EAGAIN to stop.
-  const int fd =
-      ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC | SOCK_NONBLOCK, 0);
-  if (fd < 0) return false;
-  const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(requested_port_);
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0 ||
-      ::listen(fd, 16) != 0) {
-    ::close(fd);
-    return false;
-  }
-  socklen_t len = sizeof(addr);
-  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&addr), &len) != 0) {
-    ::close(fd);
-    return false;
-  }
-  const int wake = ::eventfd(0, EFD_CLOEXEC);
-  if (wake < 0) {
-    ::close(fd);
-    return false;
-  }
-
-  listen_fd_ = fd;
-  wake_fd_ = wake;
-  port_ = ntohs(addr.sin_port);
-  running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { serve_loop(); });
-  return true;
+  net::Reactor::Options opts;
+  opts.tcp_port = requested_port_;
+  opts.max_connections = limits_.max_connections;
+  opts.idle_timeout_s = limits_.idle_timeout_s;
+  return reactor_.start(opts);
 }
 
-void TelemetryServer::stop() {
-  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
-  const std::uint64_t one = 1;
-  ssize_t ignored = ::write(wake_fd_, &one, sizeof(one));
-  (void)ignored;
-  if (thread_.joinable()) thread_.join();
-  ::close(listen_fd_);
-  ::close(wake_fd_);
-  listen_fd_ = -1;
-  wake_fd_ = -1;
+void TelemetryServer::stop() { reactor_.stop(); }
+
+std::unique_ptr<net::Session> TelemetryServer::open() {
+  return std::make_unique<Request>(*this);
 }
 
-void TelemetryServer::serve_loop() {
-  using Clock = std::chrono::steady_clock;
-
-  // Per-connection state machine: reading until the header terminator,
-  // then draining the rendered response.  Everything non-blocking; a
-  // connection that makes no progress past its deadline is dropped.
-  struct Conn {
-    std::string in;
-    std::string out;          ///< rendered response once parsed
-    std::size_t out_off = 0;
-    bool writing = false;
-    Clock::time_point deadline;
-  };
-
-  const int ep = ::epoll_create1(EPOLL_CLOEXEC);
-  if (ep < 0) return;
-  epoll_event ev{};
-  ev.events = EPOLLIN;
-  ev.data.fd = listen_fd_;
-  ::epoll_ctl(ep, EPOLL_CTL_ADD, listen_fd_, &ev);
-  ev.data.fd = wake_fd_;
-  ::epoll_ctl(ep, EPOLL_CTL_ADD, wake_fd_, &ev);
-
-  std::map<int, Conn> conns;
-  const auto timeout = std::chrono::duration_cast<Clock::duration>(
-      std::chrono::duration<double>(limits_.idle_timeout_s));
-
-  // Counters tick BEFORE ::close: the peer observes EOF the instant the
-  // fd closes, and a test (or scraper) reacting to that EOF must already
-  // see the updated count.
-  const auto drop = [&](int fd) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    ::epoll_ctl(ep, EPOLL_CTL_DEL, fd, nullptr);
-    ::close(fd);
-    conns.erase(fd);
-  };
-  const auto finish = [&](int fd) {
-    served_.fetch_add(1, std::memory_order_relaxed);
-    ::epoll_ctl(ep, EPOLL_CTL_DEL, fd, nullptr);
-    ::close(fd);
-    conns.erase(fd);
-  };
-  // Parses conn.in's request line and arms the response.  Called once
-  // the terminator (or the byte bound) is reached.
-  const auto arm_response = [&](int fd, Conn& c, const Response& resp) {
-    c.out = render(resp);
-    c.out_off = 0;
-    c.writing = true;
-    c.deadline = Clock::now() + timeout;
-    epoll_event w{};
-    w.events = EPOLLOUT;
-    w.data.fd = fd;
-    ::epoll_ctl(ep, EPOLL_CTL_MOD, fd, &w);
-  };
-
-  while (running_.load(std::memory_order_acquire)) {
-    epoll_event events[16];
-    // Tick at a fraction of the idle timeout so deadline sweeps run
-    // even while some client stalls silently.
-    const int wait_ms =
-        std::max(50, static_cast<int>(limits_.idle_timeout_s * 250.0));
-    const int n = ::epoll_wait(ep, events, 16, conns.empty() ? -1 : wait_ms);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if (!running_.load(std::memory_order_acquire)) break;
-
-    for (int i = 0; i < n; ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == wake_fd_) continue;  // loop condition re-checked above
-
-      if (fd == listen_fd_) {
-        // Accept everything ready; beyond the cap, close immediately —
-        // the diagnostics port degrades by refusing, never by queueing.
-        for (;;) {
-          const int conn =
-              ::accept4(listen_fd_, nullptr, nullptr,
-                        SOCK_NONBLOCK | SOCK_CLOEXEC);
-          if (conn < 0) break;
-          if (conns.size() >= limits_.max_connections) {
-            ::close(conn);
-            dropped_.fetch_add(1, std::memory_order_relaxed);
-            continue;
-          }
-          Conn c;
-          c.deadline = Clock::now() + timeout;
-          conns.emplace(conn, std::move(c));
-          epoll_event r{};
-          r.events = EPOLLIN;
-          r.data.fd = conn;
-          ::epoll_ctl(ep, EPOLL_CTL_ADD, conn, &r);
-        }
-        continue;
-      }
-
-      const auto it = conns.find(fd);
-      if (it == conns.end()) continue;
-      Conn& c = it->second;
-
-      if (!c.writing) {
-        // Drain what's available without blocking.
-        char buf[1024];
-        bool closed = false;
-        for (;;) {
-          const ssize_t got = ::recv(fd, buf, sizeof(buf), 0);
-          if (got > 0) {
-            c.in.append(buf, static_cast<std::size_t>(got));
-            if (c.in.size() > limits_.max_request_bytes ||
-                c.in.find("\r\n\r\n") != std::string::npos) {
-              break;
-            }
-            continue;
-          }
-          if (got < 0 && errno == EINTR) continue;
-          if (got < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-          closed = true;  // peer closed (or hard error) mid-request
-          break;
-        }
-        if (closed) {
-          drop(fd);
-          continue;
-        }
-        if (c.in.size() > limits_.max_request_bytes) {
-          arm_response(fd, c,
-                       Response{400, "text/plain; charset=utf-8",
-                                "request too large\n"});
-          continue;
-        }
-        if (c.in.find("\r\n\r\n") == std::string::npos) {
-          continue;  // wait for more bytes (or the deadline sweep)
-        }
-        const std::string_view line =
-            std::string_view(c.in).substr(0, c.in.find("\r\n"));
-        if (!line.starts_with("GET ")) {
-          arm_response(fd, c,
-                       Response{405, "text/plain; charset=utf-8",
-                                "GET only\n"});
-        } else {
-          std::string_view path = line.substr(4);
-          path = path.substr(0, path.find(' '));
-          const std::size_t query = path.find('?');
-          if (query != std::string_view::npos) path = path.substr(0, query);
-          arm_response(fd, c, handle(path));
-        }
-        continue;
-      }
-
-      // Writing: push as much of the response as the socket accepts.
-      bool dead = false;
-      while (c.out_off < c.out.size()) {
-        const ssize_t sent =
-            ::send(fd, c.out.data() + c.out_off, c.out.size() - c.out_off,
-                   MSG_NOSIGNAL);
-        if (sent > 0) {
-          c.out_off += static_cast<std::size_t>(sent);
-          continue;
-        }
-        if (sent < 0 && errno == EINTR) continue;
-        if (sent < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-        dead = true;
-        break;
-      }
-      if (dead) {
-        drop(fd);
-      } else if (c.out_off == c.out.size()) {
-        finish(fd);
-      }
-    }
-
-    // Deadline sweep: time out whoever made no progress — the slowloris
-    // path.  Collect first (drop() mutates the map).
-    const auto now = Clock::now();
-    std::vector<int> expired;
-    for (const auto& [fd, c] : conns) {
-      if (now >= c.deadline) expired.push_back(fd);
-    }
-    for (int fd : expired) drop(fd);
-  }
-
-  for (const auto& [fd, c] : conns) ::close(fd);
-  ::close(ep);
+void TelemetryServer::refused() {
+  dropped_.fetch_add(1, std::memory_order_relaxed);
 }
 
 TelemetryServer::Response TelemetryServer::handle(

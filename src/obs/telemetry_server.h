@@ -1,6 +1,6 @@
-// TelemetryServer: a tiny epoll-driven HTTP/1.0 listener (standard
-// library + POSIX sockets only) that exposes a RUNNING campaign's
-// observability surface on loopback:
+// TelemetryServer: a tiny HTTP/1.0 listener (standard library + POSIX
+// sockets only) that exposes a RUNNING campaign's observability surface
+// on loopback:
 //
 //   GET /metrics  Prometheus text: the campaign registry's export,
 //                 followed by the health engine's gauge registry.
@@ -18,21 +18,22 @@
 // cannot change a single deterministic byte of the campaign's RunReport.
 //
 // It is a diagnostics port, not a web server: one request per
-// connection, all connections multiplexed non-blockingly on one epoll
-// thread.  Hardened against misbehaving clients (PR 7): a bounded
-// number of simultaneous connections (extras are closed on accept), a
-// bounded request size (oversized requests get 400 and the connection
-// is closed), and a per-connection deadline — a client that stalls
-// mid-request (slowloris) is timed out and its fd closed WITHOUT ever
-// blocking another client's scrape, because no socket read or write on
-// this thread blocks.
+// connection, served as a protocol handler on a net::Reactor
+// (net/reactor.h), which owns the sockets, the connection cap (extras
+// are closed on accept) and the deadline sweep.  The handler adds the
+// request rules: a bounded request size (oversized requests get 400),
+// and a deadline that runs from accept and restarts only when the
+// response is queued — a client that stalls or dribbles mid-request
+// (slowloris) is timed out without ever blocking another client's
+// scrape.  A connection closes once its response is sent.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
-#include <thread>
 
+#include "net/reactor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 
@@ -49,7 +50,7 @@ struct TelemetrySources {
   std::string report_name = "live";          ///< campaign name in /report
 };
 
-class TelemetryServer {
+class TelemetryServer : private net::Handler {
  public:
   /// Abuse bounds on the diagnostics port.  The defaults fit a scrape
   /// loop plus a few humans with curl; tests shrink them to exercise
@@ -69,19 +70,17 @@ class TelemetryServer {
   TelemetryServer& operator=(const TelemetryServer&) = delete;
 
   /// Binds, listens, and spawns the serving thread.  Returns false (with
-  /// no thread spawned) when the socket setup fails.  Idempotent while
-  /// running.
+  /// no thread spawned) when the socket or epoll setup fails.
+  /// Idempotent while running.
   bool start();
 
   /// Stops accepting, joins the serving thread, closes the socket.
   /// Idempotent; also run by the destructor.
   void stop();
 
-  bool running() const noexcept {
-    return running_.load(std::memory_order_acquire);
-  }
+  bool running() const noexcept { return reactor_.running(); }
   /// Bound port (valid after start() returned true).
-  std::uint16_t port() const noexcept { return port_; }
+  std::uint16_t port() const noexcept { return reactor_.tcp_port(); }
 
   /// Overrides the abuse bounds.  Call before start(); values are read
   /// by the serving thread without further synchronization.
@@ -110,18 +109,17 @@ class TelemetryServer {
   Response handle(std::string_view path) const;
 
  private:
-  void serve_loop();
+  struct Request;
+
+  std::unique_ptr<net::Session> open() override;
+  void refused() override;
 
   TelemetrySources sources_;
   Limits limits_{};
   std::uint16_t requested_port_;
-  std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  int wake_fd_ = -1;  // eventfd: stop() pokes the epoll wait
-  std::thread thread_;
-  std::atomic<bool> running_{false};
   std::atomic<std::uint64_t> served_{0};
   std::atomic<std::uint64_t> dropped_{0};
+  net::Reactor reactor_{*this};  // last: its thread uses the above
 };
 
 }  // namespace sensedroid::obs

@@ -542,13 +542,25 @@ TEST(GatewaySocket, StartStopIdempotentAndRestartable) {
   gw::Gateway g(gw::GatewayConfig{}, sink.fn());
   ASSERT_TRUE(g.start());
   EXPECT_TRUE(g.start());  // idempotent while running
+  {
+    auto client = Client::tcp(g.tcp_port());
+    client.send_message(record_message(1, 20.0));
+    EXPECT_EQ(client.read_acks(1),
+              std::vector<std::uint8_t>{
+                  static_cast<std::uint8_t>(gw::IngestStatus::kAck)});
+    ASSERT_TRUE(sink.wait_for(1));
+  }
   g.stop();
   g.stop();  // idempotent when stopped
-  ASSERT_TRUE(g.start());  // restartable
+  ASSERT_TRUE(g.start());  // restartable: acks and delivers again
   auto client = Client::tcp(g.tcp_port());
-  client.send_message(record_message(1, 20.0));
-  EXPECT_EQ(client.read_acks(1).size(), 1u);
+  client.send_message(record_message(2, 21.0));
+  EXPECT_EQ(client.read_acks(1),
+            std::vector<std::uint8_t>{
+                static_cast<std::uint8_t>(gw::IngestStatus::kAck)});
+  EXPECT_TRUE(sink.wait_for(2));
   g.stop();
+  EXPECT_EQ(g.stats().delivered, 2u);
 }
 
 TEST(GatewayConfigValidation, RejectsNoListenerAndZeroBounds) {
