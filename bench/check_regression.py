@@ -32,14 +32,14 @@ BELOW (default 100k frames/s — the ingest daemon's loopback floor) and
 carries these under a "metrics" key rather than "median_us" because a
 throughput is not a latency; load_series accepts either spelling.
 
-With --batch the newest point's batch/operator speedups are bounded from
-below: `omp_b1 / omp_b64` (per-signal cost, sequential vs batch-of-64)
-must be at least the batch floor (default 3.0x) and
+With --batch the newest point's operator speedup is bounded from below:
 `sweep_dense_n4096 / sweep_fastdct_n4096` (one A^T r correlation sweep,
-dense matrix vs fast-DCT operator) at least the operator floor (default
-5.0x).  bench/micro_solvers appends the "batch_ops" trajectory points
-this mode reads; the plain trajectory mode additionally gates every one
-of those keys against its previous point like any other series.
+dense matrix vs fast-DCT operator) must be at least the operator floor
+(default 5.0x).  bench/micro_solvers appends the "batch_ops" trajectory
+points this mode reads; the plain trajectory mode additionally gates
+every one of those keys against its previous point like any other
+series.  The historical `omp_b*` keys (batch OMP, since removed) are no
+longer gated here.
 
 A file with no trajectory points yet is a FIRST RUN, not an error: every
 guard passes (exit 0) so a brand-new bench file does not fail tier-1
@@ -50,7 +50,7 @@ Usage: check_regression.py [--overhead|--recovery|--gateway|--batch]
                            [path-to-jsonl]
                            [max-ratio | max-write-us max-restore-us |
                             min-frames-per-s max-p99-us |
-                            min-batch-speedup min-operator-speedup]
+                            min-operator-speedup]
 Exit codes: 0 ok, 1 regression found, 2 malformed input.
 """
 
@@ -193,44 +193,27 @@ def check_gateway(series, min_frames_per_s, max_p99_us):
     return 0
 
 
-def check_batch(series, min_batch_speedup, min_operator_speedup):
-    """Floors the newest point's batch and operator speedup ratios."""
-    gates = [
-        ("omp_b1", "omp_b64", min_batch_speedup, "batch-of-64"),
-        (
-            "sweep_dense_n4096",
-            "sweep_fastdct_n4096",
-            min_operator_speedup,
-            "fast-DCT sweep",
-        ),
-    ]
-    failures = []
-    checked = 0
-    for slow_key, fast_key, floor, what in gates:
-        if slow_key not in series or fast_key not in series:
-            missing = slow_key if slow_key not in series else fast_key
-            print(f"  {what}: no {missing} trajectory point, skipped")
-            continue
-        label, slow = series[slow_key][-1]
-        _, fast = series[fast_key][-1]
-        checked += 1
-        speedup = slow / fast if fast > 0 else float("inf")
-        bad = speedup < floor
-        verdict = "UNDER FLOOR" if bad else "ok"
-        print(
-            f"  {what}: {slow_key} {slow:.3f} us / {fast_key} {fast:.3f} us "
-            f"({label})  {speedup:.2f}x  floor {floor:.1f}x  {verdict}"
-        )
-        if bad:
-            failures.append(what)
-    if not checked:
-        print("check_regression: no batch/operator speedup pairs found")
+def check_batch(series, min_operator_speedup):
+    """Floors the newest point's dense-vs-fast-DCT sweep speedup."""
+    slow_key, fast_key = "sweep_dense_n4096", "sweep_fastdct_n4096"
+    if slow_key not in series or fast_key not in series:
+        missing = slow_key if slow_key not in series else fast_key
+        print(f"  fast-DCT sweep: no {missing} trajectory point, skipped")
+        print("check_regression: no operator speedup pair found")
         return 2
-    if failures:
-        print(
-            f"check_regression: FAIL — {', '.join(failures)} below the "
-            "batch/operator speedup floor"
-        )
+    label, slow = series[slow_key][-1]
+    _, fast = series[fast_key][-1]
+    speedup = slow / fast if fast > 0 else float("inf")
+    bad = speedup < min_operator_speedup
+    verdict = "UNDER FLOOR" if bad else "ok"
+    print(
+        f"  fast-DCT sweep: {slow_key} {slow:.3f} us / {fast_key} "
+        f"{fast:.3f} us ({label})  {speedup:.2f}x  "
+        f"floor {min_operator_speedup:.1f}x  {verdict}"
+    )
+    if bad:
+        print("check_regression: FAIL — fast-DCT sweep below the operator "
+              "speedup floor")
         return 1
     print("check_regression: ok")
     return 0
@@ -266,9 +249,8 @@ def main(argv):
               "first run, ok")
         return 0
     if batch:
-        min_batch = float(argv[2]) if len(argv) > 2 else 3.0
-        min_operator = float(argv[3]) if len(argv) > 3 else 5.0
-        return check_batch(series, min_batch, min_operator)
+        min_operator = float(argv[2]) if len(argv) > 2 else 5.0
+        return check_batch(series, min_operator)
     if gateway:
         min_frames = float(argv[2]) if len(argv) > 2 else 100_000.0
         max_p99 = float(argv[3]) if len(argv) > 3 else 20_000.0

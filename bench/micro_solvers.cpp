@@ -12,7 +12,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -274,13 +273,10 @@ bool write_fig4_regime_json() {
 }
 
 // ---------------------------------------------------------------------
-// Batch + operator trajectory point (the PR-10 series, gated by
-// check_regression.py --batch and by the plain trajectory mode):
+// Operator trajectory point (regime "batch_ops", the name of the series
+// it continues; gated by check_regression.py --batch and by the plain
+// trajectory mode):
 //
-//   omp_bB            per-signal median us of omp_solve_batch over B
-//                     signals in the Fig. 4 regime — the B=1 point is the
-//                     sequential baseline, so omp_b1/omp_b64 is the batch
-//                     GEMM speedup the acceptance floor reads (>= 3x);
 //   sweep_dense_nN /  one A^T r correlation sweep at m = N/8, dense
 //   sweep_fastdct_nN  matrix vs SubsampledDctOperator (>= 5x at 4096);
 //   sweep_kron_nN     one CHS analyze sweep Phi^T e over the full grid of a
@@ -291,39 +287,8 @@ bool write_fig4_regime_json() {
 //   state_bytes       bytes each sweep fixture holds to represent A —
 //                     reporting only, never trajectory-gated.
 
-bool write_batch_operator_json() {
-  constexpr std::size_t n = 256, m = 30, k = 10;
-  const auto basis = linalg::dct_basis(n);
+bool write_operator_json() {
   linalg::Rng rng(505);
-  auto plan = cs::MeasurementPlan::random(n, m, rng);
-  const linalg::Matrix a = plan.select_rows(basis);
-
-  constexpr std::size_t kMaxBatch = 512;
-  std::vector<linalg::Vector> ys;
-  ys.reserve(kMaxBatch);
-  for (std::size_t s = 0; s < kMaxBatch; ++s) {
-    linalg::Vector alpha(n, 0.0);
-    for (std::size_t j : rng.sample_without_replacement(n, k)) {
-      alpha[j] = rng.uniform(1.0, 2.0) * (rng.bernoulli(0.5) ? 1.0 : -1.0);
-    }
-    ys.push_back(a * alpha);
-  }
-
-  // Per-signal median microseconds at batch size B: each rep solves one
-  // batch of B signals; reps shrink as B grows so every point does a
-  // comparable amount of total work.
-  const auto batch_us = [&](std::size_t bsize) {
-    const std::size_t reps = std::max<std::size_t>(3, 1024 / bsize);
-    const std::span<const linalg::Vector> slice(ys.data(), bsize);
-    return median_solve_us(reps, [&] {
-      benchmark::DoNotOptimize(
-          cs::omp_solve_batch(a, slice, {.max_sparsity = k}));
-    }) / static_cast<double>(bsize);
-  };
-  const double b1 = batch_us(1);
-  const double b8 = batch_us(8);
-  const double b64 = batch_us(64);
-  const double b512 = batch_us(512);
 
   // One correlation sweep per rep, dense vs fast-DCT, m = N/8.  The
   // dense twin is assembled from the operator's exact columns so the two
@@ -385,14 +350,12 @@ bool write_batch_operator_json() {
   }
   std::fprintf(f,
                "{\"bench\":\"micro_solvers\",\"regime\":\"batch_ops\","
-               "\"label\":\"%s\","
-               "\"fixture\":{\"n\":%zu,\"m\":%zu,\"k\":%zu},"
-               "\"median_us\":{\"omp_b1\":%.3f,\"omp_b8\":%.3f,"
-               "\"omp_b64\":%.3f,\"omp_b512\":%.3f",
-               label, n, m, k, b1, b8, b64, b512);
-  for (const auto& p : sweeps) {
-    std::fprintf(f, ",\"sweep_dense_n%zu\":%.3f,\"sweep_fastdct_n%zu\":%.3f",
-                 p.n, p.dense_us, p.n, p.fast_us);
+               "\"label\":\"%s\",\"median_us\":{",
+               label);
+  for (std::size_t i = 0; i < sweeps.size(); ++i) {
+    std::fprintf(f, "%s\"sweep_dense_n%zu\":%.3f,\"sweep_fastdct_n%zu\":%.3f",
+                 i == 0 ? "" : ",", sweeps[i].n, sweeps[i].dense_us,
+                 sweeps[i].n, sweeps[i].fast_us);
   }
   std::fprintf(f, "},\"report_us\":{");
   for (std::size_t i = 0; i < sweeps.size(); ++i) {
@@ -410,11 +373,9 @@ bool write_batch_operator_json() {
   }
   std::fprintf(f, "}}\n");
   std::fclose(f);
-  std::printf("batch_ops regime: omp per-signal us b1=%.2f b8=%.2f b64=%.2f "
-              "b512=%.2f (b1/b64 %.2fx)",
-              b1, b8, b64, b512, b64 > 0.0 ? b1 / b64 : 0.0);
+  std::printf("batch_ops regime:");
   for (const auto& p : sweeps) {
-    std::printf("; sweep n=%zu dense=%.2fus fast=%.2fus (%.2fx) kron=%.2fus",
+    std::printf(" sweep n=%zu dense=%.2fus fast=%.2fus (%.2fx) kron=%.2fus;",
                 p.n, p.dense_us, p.fast_us,
                 p.fast_us > 0.0 ? p.dense_us / p.fast_us : 0.0, p.kron_us);
   }
@@ -437,7 +398,7 @@ int main(int argc, char** argv) {
   benchmark::Shutdown();
 
   const bool bench_json_ok =
-      write_fig4_regime_json() && write_batch_operator_json();
+      write_fig4_regime_json() && write_operator_json();
 
   auto report = obs::RunReport::from_registry(registry, "micro_solvers");
   obs::attach_registry(nullptr);

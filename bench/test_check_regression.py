@@ -154,7 +154,7 @@ class GatewayModeTest(unittest.TestCase):
 
 class BatchModeTest(unittest.TestCase):
     GOOD = (
-        '{"label":"b","median_us":{"omp_b1":90.0,"omp_b64":20.0,'
+        '{"label":"b","median_us":{'
         '"sweep_dense_n4096":800.0,"sweep_fastdct_n4096":100.0},'
         '"state_bytes":{"sweep_dense_n4096":16777216,'
         '"sweep_fastdct_n4096":40000}}\n'
@@ -163,24 +163,43 @@ class BatchModeTest(unittest.TestCase):
     def test_healthy_point_passes(self):
         self.assertEqual(run_main(self.GOOD, "--batch"), 0)
 
-    def test_batch_speedup_under_floor_fails(self):
-        content = (
-            '{"label":"b","median_us":{"omp_b1":50.0,"omp_b64":20.0,'
-            '"sweep_dense_n4096":800.0,"sweep_fastdct_n4096":100.0}}\n'
-        )
-        self.assertEqual(run_main(content, "--batch"), 1)
-
     def test_operator_speedup_under_floor_fails(self):
         content = (
-            '{"label":"b","median_us":{"omp_b1":90.0,"omp_b64":20.0,'
+            '{"label":"b","median_us":{'
             '"sweep_dense_n4096":300.0,"sweep_fastdct_n4096":100.0}}\n'
         )
         self.assertEqual(run_main(content, "--batch"), 1)
 
+    def test_retired_omp_batch_pair_is_not_gated(self):
+        # omp_b1/omp_b64 at 2.5x was under the old 3x batch floor; the
+        # leg is retired with batch OMP, so only the sweep pair counts.
+        content = (
+            '{"label":"b","median_us":{"omp_b1":50.0,"omp_b64":20.0,'
+            '"sweep_dense_n4096":800.0,"sweep_fastdct_n4096":100.0}}\n'
+        )
+        self.assertEqual(run_main(content, "--batch"), 0)
+
+    def test_omp_batch_only_point_is_skipped(self):
+        # A newest point carrying only the historical omp_b* keys is not
+        # checked; the sweep floor reads the older point that has them.
+        content = self.GOOD + (
+            '{"label":"c","median_us":{"omp_b1":10.0,"omp_b64":10.0}}\n'
+        )
+        self.assertEqual(run_main(content, "--batch"), 0)
+        # Alone it gates nothing: the sweep leg reads "skipped" and the
+        # run exits 2 (no gated pair), not 1 (regression).
+        self.assertEqual(
+            run_main(
+                '{"label":"c","median_us":{"omp_b1":10.0,"omp_b64":10.0}}\n',
+                "--batch",
+            ),
+            2,
+        )
+
     def test_newest_point_wins(self):
         # An old under-floor point is history, not a failure.
         content = (
-            '{"label":"old","median_us":{"omp_b1":10.0,"omp_b64":10.0,'
+            '{"label":"old","median_us":{'
             '"sweep_dense_n4096":10.0,"sweep_fastdct_n4096":10.0}}\n'
             + self.GOOD
         )
@@ -196,29 +215,28 @@ class BatchModeTest(unittest.TestCase):
         # "state_bytes" is reporting, not a latency series: a 10x jump in
         # it must not trip the default trajectory comparison.
         content = (
-            '{"label":"a","median_us":{"omp_b1":90.0},'
+            '{"label":"a","median_us":{"sweep_dense_n4096":90.0},'
             '"state_bytes":{"sweep_dense_n4096":1000}}\n'
-            '{"label":"b","median_us":{"omp_b1":91.0},'
+            '{"label":"b","median_us":{"sweep_dense_n4096":91.0},'
             '"state_bytes":{"sweep_dense_n4096":99999999}}\n'
         )
         self.assertEqual(run_main(content), 0)
 
-    def test_explicit_floors_override_defaults(self):
-        # 4.5x batch speedup passes the default 3.0 floor but fails 5.0.
-        content = (
-            '{"label":"b","median_us":{"omp_b1":90.0,"omp_b64":20.0,'
-            '"sweep_dense_n4096":800.0,"sweep_fastdct_n4096":100.0}}\n'
-        )
-        self.assertEqual(run_main(content, "--batch"), 0)
+    def test_explicit_floor_overrides_default(self):
+        # 8x operator speedup passes the default 5.0 floor but fails 10.0.
         with tempfile.NamedTemporaryFile(
             "w", suffix=".json", delete=False
         ) as fh:
-            fh.write(content)
+            fh.write(self.GOOD)
             path = fh.name
         try:
             self.assertEqual(
+                check_regression.main(["check_regression.py", "--batch", path]),
+                0,
+            )
+            self.assertEqual(
                 check_regression.main(
-                    ["check_regression.py", "--batch", path, "5.0", "5.0"]
+                    ["check_regression.py", "--batch", path, "10.0"]
                 ),
                 1,
             )

@@ -124,12 +124,12 @@ struct OpDict {
   }
 };
 
-// One signal's CoSaMP pursuit, split so a batch driver can interleave
-// many signals: needs_sweep() runs the pre-sweep checks (cancellation,
-// tolerance, iteration budget) and, when it returns true, the caller
-// owes the proxy A^T r for the current residual `r` and must pass it to
-// step().  The sequential solver drives the same struct one signal at a
-// time, so the decomposition cannot drift from the batch path.
+// One signal's CoSaMP pursuit.  needs_sweep() runs the pre-sweep checks
+// (cancellation, tolerance, iteration budget) and, when it returns true,
+// the caller owes the proxy A^T r for the current residual `r` and must
+// pass it to step().  cosamp_solve drives it with one dense A^T r sweep
+// per iteration; the split mirrors IhtRun, whose sweep differs between
+// the dense and operator solvers.
 struct CosampRun {
   const Matrix& a;
   std::span<const double> y;
@@ -239,6 +239,8 @@ struct CosampRun {
 // One signal's IHT pursuit, same needs_sweep()/step() contract as
 // CosampRun; needs_sweep() additionally refreshes the residual `r` from
 // the current iterate (IHT's gradient is taken at the thresholded x).
+// The caller runs the gradient sweep through the matching kernel, so one
+// pursuit serves the dense (DenseDict) and operator (OpDict) solvers.
 template <typename Dict>
 struct IhtRun {
   Dict dict;
@@ -338,44 +340,6 @@ struct IhtRun {
   }
 };
 
-// Lockstep batch driver: every round, the still-running signals' pre-
-// sweep checks decide who needs a proxy, the active residuals pack into
-// one block, and a single A^T R GEMM replaces the per-signal sweeps.
-// Each run then steps on its own slice, so everything downstream of the
-// sweep is the per-signal sequential code.
-template <typename Run>
-std::vector<SparseSolution> greedy_batch(const Matrix& a,
-                                         std::vector<Run>& runs) {
-  const std::size_t m = a.rows();
-  const std::size_t n = a.cols();
-  Vector packed;
-  Vector proxies;
-  std::vector<std::size_t> active;
-  active.reserve(runs.size());
-  while (true) {
-    active.clear();
-    for (std::size_t b = 0; b < runs.size(); ++b) {
-      if (runs[b].needs_sweep()) active.push_back(b);
-    }
-    if (active.empty()) break;
-    packed.resize(active.size() * m);
-    proxies.resize(active.size() * n);
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      const Vector& r = runs[active[i]].r;
-      std::copy(r.begin(), r.end(), packed.begin() + i * m);
-    }
-    a.transpose_times_block(packed, active.size(), proxies);
-    for (std::size_t i = 0; i < active.size(); ++i) {
-      runs[active[i]].step(
-          std::span<const double>(proxies.data() + i * n, n));
-    }
-  }
-  std::vector<SparseSolution> out;
-  out.reserve(runs.size());
-  for (Run& run : runs) out.push_back(run.finish());
-  return out;
-}
-
 }  // namespace
 
 std::vector<std::size_t> clamp_candidates_by_proxy(
@@ -404,15 +368,6 @@ SparseSolution cosamp_solve(const Matrix& a, std::span<const double> y,
   return run.finish();
 }
 
-std::vector<SparseSolution> cosamp_solve_batch(const Matrix& a,
-                                               std::span<const Vector> ys,
-                                               const CosampOptions& opts) {
-  std::vector<CosampRun> runs;
-  runs.reserve(ys.size());
-  for (const Vector& y : ys) runs.emplace_back(a, y, opts);
-  return greedy_batch(a, runs);
-}
-
 SparseSolution iht_solve(const Matrix& a, std::span<const double> y,
                          const IhtOptions& opts) {
   IhtRun<DenseDict> run(DenseDict{a}, y, opts);
@@ -431,15 +386,6 @@ SparseSolution iht_solve(const linalg::LinearOperator& a,
     run.step(grad);
   }
   return run.finish();
-}
-
-std::vector<SparseSolution> iht_solve_batch(const Matrix& a,
-                                            std::span<const Vector> ys,
-                                            const IhtOptions& opts) {
-  std::vector<IhtRun<DenseDict>> runs;
-  runs.reserve(ys.size());
-  for (const Vector& y : ys) runs.emplace_back(DenseDict{a}, y, opts);
-  return greedy_batch(a, runs);
 }
 
 }  // namespace sensedroid::cs

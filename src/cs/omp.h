@@ -56,26 +56,6 @@ SparseSolution omp_solve(const linalg::LinearOperator& a,
                          std::span<const double> y,
                          const OmpOptions& opts = {});
 
-/// Batch OMP over `ys.size()` signals sharing one dictionary.  For
-/// dictionaries whose Gram matrix fits in cache budget, each signal's
-/// pursuit runs in coefficient space (Rubinstein-style Batch-OMP): one
-/// blocked A^T Y GEMM up front, a progressive Cholesky of G_SS, O(nk)
-/// correlation updates in place of O(nm) sweeps, and one final
-/// back-substitution for the coefficients; the reported residual_norm
-/// is recomputed exactly from y - A_S alpha.  Otherwise the sequential
-/// algorithm runs per signal with the correlation sweeps shared through
-/// one blocked GEMM per lockstep round.  Supports match the sequential
-/// solves except on near-exact correlation ties; coefficients and
-/// residual_norm agree to ~1e-12 (same least-squares problem, different
-/// arithmetic).  Each signal's output is a deterministic function of
-/// (a, y, opts) alone for any batch of two or more, so chunking a
-/// workload into batches never changes a result bit (a batch of one
-/// routes through omp_solve).  Returns one solution per signal, in
-/// order.
-std::vector<SparseSolution> omp_solve_batch(const Matrix& a,
-                                            std::span<const Vector> ys,
-                                            const OmpOptions& opts = {});
-
 /// Reconstructs a full N-length signal from a sparse coefficient solution
 /// in a given synthesis basis: x_hat = Phi alpha.
 Vector reconstruct(const Matrix& basis, const SparseSolution& sol);

@@ -58,16 +58,6 @@ class OmpSolver final : public SparseSolver {
     o.cancel = ctx.cancel;
     return omp_solve(a, y, o);
   }
-  std::vector<SparseSolution> solve_batch(
-      const Matrix& a, std::span<const Vector> ys,
-      const SolveContext& ctx) const override {
-    SinkGuard guard(ctx);
-    OmpOptions o;
-    o.max_sparsity = ctx.sparsity;
-    if (ctx.residual_tol >= 0.0) o.residual_tol = ctx.residual_tol;
-    o.cancel = ctx.cancel;
-    return omp_solve_batch(a, ys, o);
-  }
 };
 
 class CosampSolver final : public SparseSolver {
@@ -83,17 +73,6 @@ class CosampSolver final : public SparseSolver {
     o.cancel = ctx.cancel;
     return cosamp_solve(a, y, o);
   }
-  std::vector<SparseSolution> solve_batch(
-      const Matrix& a, std::span<const Vector> ys,
-      const SolveContext& ctx) const override {
-    SinkGuard guard(ctx);
-    CosampOptions o;
-    o.sparsity = ctx.sparsity;
-    if (ctx.max_iterations) o.max_iterations = ctx.max_iterations;
-    if (ctx.residual_tol >= 0.0) o.residual_tol = ctx.residual_tol;
-    o.cancel = ctx.cancel;
-    return cosamp_solve_batch(a, ys, o);
-  }
 };
 
 class IhtSolver final : public SparseSolver {
@@ -108,17 +87,6 @@ class IhtSolver final : public SparseSolver {
     if (ctx.residual_tol >= 0.0) o.residual_tol = ctx.residual_tol;
     o.cancel = ctx.cancel;
     return iht_solve(a, y, o);
-  }
-  std::vector<SparseSolution> solve_batch(
-      const Matrix& a, std::span<const Vector> ys,
-      const SolveContext& ctx) const override {
-    SinkGuard guard(ctx);
-    IhtOptions o;
-    o.sparsity = ctx.sparsity;
-    if (ctx.max_iterations) o.max_iterations = ctx.max_iterations;
-    if (ctx.residual_tol >= 0.0) o.residual_tol = ctx.residual_tol;
-    o.cancel = ctx.cancel;
-    return iht_solve_batch(a, ys, o);
   }
 };
 
@@ -191,15 +159,6 @@ class RidgeSolver final : public SparseSolver {
 };
 
 }  // namespace
-
-std::vector<SparseSolution> SparseSolver::solve_batch(
-    const linalg::Matrix& a, std::span<const linalg::Vector> ys,
-    const SolveContext& ctx) const {
-  std::vector<SparseSolution> out;
-  out.reserve(ys.size());
-  for (const linalg::Vector& y : ys) out.push_back(solve(a, y, ctx));
-  return out;
-}
 
 SolverRegistry& SolverRegistry::global() {
   static SolverRegistry reg;

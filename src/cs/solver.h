@@ -93,19 +93,6 @@ class SparseSolver {
   virtual SparseSolution solve(const linalg::Matrix& a,
                                std::span<const double> y,
                                const SolveContext& ctx) const = 0;
-
-  /// Solves many signals against one dictionary.  The base implementation
-  /// loops solve(), so every registered solver gets the batch signature
-  /// for free; the greedy solvers (omp/cosamp/iht) override it to share
-  /// the correlation sweeps across the batch (one blocked A^T R product,
-  /// or a per-batch Gram matrix).  Overrides must return results equal to
-  /// the sequential loop up to near-exact correlation ties: identical
-  /// supports, coefficients within 1e-12.  One solution per signal, in
-  /// order; ctx (including the metrics sink and cancel token) applies to
-  /// the whole batch.
-  virtual std::vector<SparseSolution> solve_batch(
-      const linalg::Matrix& a, std::span<const linalg::Vector> ys,
-      const SolveContext& ctx) const;
 };
 
 /// Name -> factory registry.  The process-wide instance (global()) comes

@@ -274,98 +274,4 @@ hierarchy::RegionalResult ParallelCampaignRunner::run_round_uniform(
   return run_round(decisions, rng);
 }
 
-std::vector<cs::ChsResult> chs_reconstruct_batch(
-    ThreadPool& pool, const linalg::Matrix& basis,
-    std::span<const cs::Measurement> signals, const cs::ChsOptions& opts,
-    std::size_t batch_size) {
-  if (batch_size == 0) batch_size = 1;
-  struct BatchOutcome {
-    std::vector<cs::ChsResult> results;
-    std::unique_ptr<obs::MetricsRegistry> shard;
-  };
-  const bool shard_metrics = observed();
-
-  std::vector<std::future<BatchOutcome>> futures;
-  futures.reserve((signals.size() + batch_size - 1) / batch_size);
-  for (std::size_t start = 0; start < signals.size(); start += batch_size) {
-    const std::size_t count = std::min(batch_size, signals.size() - start);
-    futures.push_back(pool.submit([&basis, &signals, &opts, shard_metrics,
-                                   start, count] {
-      BatchOutcome out;
-      std::optional<obs::ScopedMetricShard> bind;
-      if (shard_metrics) {
-        out.shard = std::make_unique<obs::MetricsRegistry>();
-        bind.emplace(out.shard.get());
-      }
-      out.results.reserve(count);
-      // Signals solve in index order within the task, so the shard's
-      // accumulation order — and therefore the merged metrics view — is
-      // the same as one-task-per-signal was.
-      for (std::size_t i = start; i < start + count; ++i) {
-        out.results.push_back(cs::chs_reconstruct(basis, signals[i], opts));
-      }
-      return out;
-    }));
-  }
-  for (auto& f : futures) f.wait();  // barrier before any rethrow
-
-  std::vector<cs::ChsResult> results;
-  results.reserve(signals.size());
-  obs::MetricsRegistry* base = obs::registry();
-  for (auto& f : futures) {
-    BatchOutcome out = f.get();  // rethrows in batch (= signal) order
-    if (base != nullptr && out.shard) base->merge_from(*out.shard);
-    for (auto& r : out.results) results.push_back(std::move(r));
-  }
-  return results;
-}
-
-std::vector<cs::SparseSolution> solve_batch_parallel(
-    ThreadPool& pool, const cs::SparseSolver& solver,
-    const linalg::Matrix& a, std::span<const linalg::Vector> ys,
-    const cs::SolveContext& ctx, std::size_t batch_size) {
-  if (batch_size == 0) batch_size = 1;
-  struct ChunkOutcome {
-    std::vector<cs::SparseSolution> results;
-    std::unique_ptr<obs::MetricsRegistry> shard;
-  };
-  // The merge destination: an explicit context sink wins, else the
-  // attached process registry, else no metrics at all.
-  obs::MetricsRegistry* sink =
-      ctx.metrics != nullptr ? ctx.metrics : obs::registry();
-  const bool shard_metrics = sink != nullptr;
-  // Tasks must not bind the shared sink themselves (concurrent chunks
-  // would race on it); each binds a private shard instead and the shards
-  // merge into the sink in chunk order below.
-  cs::SolveContext task_ctx = ctx;
-  task_ctx.metrics = nullptr;
-
-  std::vector<std::future<ChunkOutcome>> futures;
-  futures.reserve((ys.size() + batch_size - 1) / batch_size);
-  for (std::size_t start = 0; start < ys.size(); start += batch_size) {
-    const std::size_t count = std::min(batch_size, ys.size() - start);
-    futures.push_back(pool.submit([&a, ys, &task_ctx, &solver, shard_metrics,
-                                   start, count] {
-      ChunkOutcome out;
-      std::optional<obs::ScopedMetricShard> bind;
-      if (shard_metrics) {
-        out.shard = std::make_unique<obs::MetricsRegistry>();
-        bind.emplace(out.shard.get());
-      }
-      out.results = solver.solve_batch(a, ys.subspan(start, count), task_ctx);
-      return out;
-    }));
-  }
-  for (auto& f : futures) f.wait();  // barrier before any rethrow
-
-  std::vector<cs::SparseSolution> results;
-  results.reserve(ys.size());
-  for (auto& f : futures) {
-    ChunkOutcome out = f.get();  // rethrows in chunk order
-    if (shard_metrics && out.shard) sink->merge_from(*out.shard);
-    for (auto& s : out.results) results.push_back(std::move(s));
-  }
-  return results;
-}
-
 }  // namespace sensedroid::exec

@@ -24,11 +24,8 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <vector>
 
-#include "cs/chs.h"
-#include "cs/solver.h"
 #include "exec/thread_pool.h"
 #include "hierarchy/localcloud.h"
 
@@ -77,35 +74,5 @@ class ParallelCampaignRunner {
   hierarchy::LocalCloud* cloud_;
   ThreadPool* pool_;
 };
-
-/// Fans independent CHS reconstructions (shared basis and options)
-/// across the pool.  Signals are grouped into contiguous task batches of
-/// `batch_size` (a scheduling knob only: each signal still solves
-/// sequentially inside its task, amortizing the submit/shard overhead
-/// that dominated at one-task-per-signal); results and metric shards are
-/// reduced in batch order, which visits signals in index order, so the
-/// output — and the deterministic metrics view — is identical at any
-/// worker count AND any batch size.  Signal i's solve must not depend on
-/// signal j's (chs_reconstruct is stateless, so it doesn't).  A solve
-/// that throws is rethrown after every task completes.
-std::vector<cs::ChsResult> chs_reconstruct_batch(
-    ThreadPool& pool, const linalg::Matrix& basis,
-    std::span<const cs::Measurement> signals, const cs::ChsOptions& opts,
-    std::size_t batch_size = 8);
-
-/// Fans a solver's batch API across the pool: `ys` splits into
-/// contiguous chunks of `batch_size`, each chunk runs one
-/// SparseSolver::solve_batch task against the shared dictionary (so the
-/// greedy solvers' correlation sweeps become per-chunk GEMMs), and
-/// results plus per-task metric shards reduce in chunk order — the same
-/// totals at any worker count.  ctx.metrics, when set, receives the
-/// merged shards (tasks never bind it directly — sharing one registry
-/// across concurrent chunks would race); otherwise they merge into the
-/// attached process registry.  A chunk that throws is rethrown after
-/// every task completes.
-std::vector<cs::SparseSolution> solve_batch_parallel(
-    ThreadPool& pool, const cs::SparseSolver& solver,
-    const linalg::Matrix& a, std::span<const linalg::Vector> ys,
-    const cs::SolveContext& ctx, std::size_t batch_size = 64);
 
 }  // namespace sensedroid::exec

@@ -1,47 +1,16 @@
-// Shared per-dictionary Gram cache.
-//
-// Batch solvers (and, prospectively, zones that sample the same sensing
-// matrix — ROADMAP's "shared per-Phi caches") repeatedly need G = A^T A
-// for the same dictionary: a campaign solves thousands of batches
-// against one Phi, and the O(n^2 m) Gram build would otherwise be paid
-// per batch.  This cache keys on the *content* of the matrix (dims +
-// 64-bit chunked hash, confirmed by a full memcmp — the hash only
-// buckets, equality is always byte-exact), so a hit is safe even when a
-// caller rebuilds an identical Matrix at a different address, and a
-// stale address never aliases to a wrong Gram.
-//
-// Entries are returned as shared_ptr<const Matrix> so eviction can never
-// invalidate a Gram a solver is still reading.  The cache holds at most
-// kMaxEntries grams and kMaxBytes of Gram payload, evicting
-// least-recently-used; lookups and inserts are mutex-serialized (the
-// guarded section is a hash + memcmp, not the O(n^2 m) build, which runs
-// outside the lock so concurrent solvers on *different* dictionaries
-// never queue behind each other's builds).
+// Gram-cache counters, kept as a zero stub: no solver memoizes A^T A
+// any more, so both counters always read 0.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <memory>
-
-#include "linalg/matrix.h"
 
 namespace sensedroid::linalg {
 
-/// Returns a.gram(), served from the process-wide content-keyed cache.
-/// The result is bit-identical to a fresh a.gram() (the cached value *is*
-/// a fresh build, memoized).  Thread-safe.
-std::shared_ptr<const Matrix> shared_gram(const Matrix& a);
-
-/// Counters for tests and capacity planning.  Monotonic since process
-/// start (clear() does not reset them).
+// Stays until a benchmark change drops the linalg.gram_* series.
 struct GramCacheStats {
   std::uint64_t hits = 0;
   std::uint64_t misses = 0;
-  std::uint64_t evictions = 0;
 };
-GramCacheStats gram_cache_stats() noexcept;
-
-/// Drops every cached entry (outstanding shared_ptrs stay valid).
-void gram_cache_clear() noexcept;
+inline GramCacheStats gram_cache_stats() noexcept { return {}; }
 
 }  // namespace sensedroid::linalg

@@ -23,15 +23,12 @@ namespace {
 // m=30, n=256 Fig. 4 regime where this kernel is the single largest
 // term of an OMP solve.  256-bit vectors are deliberate: 512-bit FMA
 // throttles the clock on the build machines this was tuned on.
-// Each saxpy_rowsN helper folds one N-row block starting at `p` (with
-// scalars v[0..N-1]) into o[0..cols).  saxpy_sweep and the batched
-// transpose_times_block both dispatch onto these helpers with the same
-// 8/4/2/1 block partition of the row range, so a signal sees the exact
-// same floating-point operation order on either path.
+// Each saxpy_rowsN helper folds one N-row block starting at `p` (rows
+// `cols` apart, scalars v[0..N-1]) into o[0..cols); saxpy_sweep
+// partitions the row range into 8/4/2/1 blocks and dispatches onto them.
 #if defined(__AVX2__) && defined(__FMA__)
 inline void saxpy_rows8(const double* __restrict p, const double* __restrict v,
-                        double* __restrict o, std::size_t stride,
-                        std::size_t cols) {
+                        double* __restrict o, std::size_t cols) {
   const __m256d v0 = _mm256_set1_pd(v[0]), v1 = _mm256_set1_pd(v[1]),
                 v2 = _mm256_set1_pd(v[2]), v3 = _mm256_set1_pd(v[3]),
                 v4 = _mm256_set1_pd(v[4]), v5 = _mm256_set1_pd(v[5]),
@@ -43,26 +40,25 @@ inline void saxpy_rows8(const double* __restrict p, const double* __restrict v,
     __m256d acc0 = _mm256_loadu_pd(o + c);
     __m256d acc1 = _mm256_setzero_pd();
     acc0 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(p + c), acc0);
-    acc1 = _mm256_fmadd_pd(v1, _mm256_loadu_pd(p + c + stride), acc1);
-    acc0 = _mm256_fmadd_pd(v2, _mm256_loadu_pd(p + c + 2 * stride), acc0);
-    acc1 = _mm256_fmadd_pd(v3, _mm256_loadu_pd(p + c + 3 * stride), acc1);
-    acc0 = _mm256_fmadd_pd(v4, _mm256_loadu_pd(p + c + 4 * stride), acc0);
-    acc1 = _mm256_fmadd_pd(v5, _mm256_loadu_pd(p + c + 5 * stride), acc1);
-    acc0 = _mm256_fmadd_pd(v6, _mm256_loadu_pd(p + c + 6 * stride), acc0);
-    acc1 = _mm256_fmadd_pd(v7, _mm256_loadu_pd(p + c + 7 * stride), acc1);
+    acc1 = _mm256_fmadd_pd(v1, _mm256_loadu_pd(p + c + cols), acc1);
+    acc0 = _mm256_fmadd_pd(v2, _mm256_loadu_pd(p + c + 2 * cols), acc0);
+    acc1 = _mm256_fmadd_pd(v3, _mm256_loadu_pd(p + c + 3 * cols), acc1);
+    acc0 = _mm256_fmadd_pd(v4, _mm256_loadu_pd(p + c + 4 * cols), acc0);
+    acc1 = _mm256_fmadd_pd(v5, _mm256_loadu_pd(p + c + 5 * cols), acc1);
+    acc0 = _mm256_fmadd_pd(v6, _mm256_loadu_pd(p + c + 6 * cols), acc0);
+    acc1 = _mm256_fmadd_pd(v7, _mm256_loadu_pd(p + c + 7 * cols), acc1);
     _mm256_storeu_pd(o + c, _mm256_add_pd(acc0, acc1));
   }
   for (; c < cols; ++c) {
-    o[c] += p[c] * v[0] + p[c + stride] * v[1] + p[c + 2 * stride] * v[2] +
-            p[c + 3 * stride] * v[3] + p[c + 4 * stride] * v[4] +
-            p[c + 5 * stride] * v[5] + p[c + 6 * stride] * v[6] +
-            p[c + 7 * stride] * v[7];
+    o[c] += p[c] * v[0] + p[c + cols] * v[1] + p[c + 2 * cols] * v[2] +
+            p[c + 3 * cols] * v[3] + p[c + 4 * cols] * v[4] +
+            p[c + 5 * cols] * v[5] + p[c + 6 * cols] * v[6] +
+            p[c + 7 * cols] * v[7];
   }
 }
 
 inline void saxpy_rows4(const double* __restrict p, const double* __restrict v,
-                        double* __restrict o, std::size_t stride,
-                        std::size_t cols) {
+                        double* __restrict o, std::size_t cols) {
   const __m256d v0 = _mm256_set1_pd(v[0]), v1 = _mm256_set1_pd(v[1]),
                 v2 = _mm256_set1_pd(v[2]), v3 = _mm256_set1_pd(v[3]);
   std::size_t c = 0;
@@ -70,35 +66,32 @@ inline void saxpy_rows4(const double* __restrict p, const double* __restrict v,
     __m256d acc0 = _mm256_loadu_pd(o + c);
     __m256d acc1 = _mm256_setzero_pd();
     acc0 = _mm256_fmadd_pd(v0, _mm256_loadu_pd(p + c), acc0);
-    acc1 = _mm256_fmadd_pd(v1, _mm256_loadu_pd(p + c + stride), acc1);
-    acc0 = _mm256_fmadd_pd(v2, _mm256_loadu_pd(p + c + 2 * stride), acc0);
-    acc1 = _mm256_fmadd_pd(v3, _mm256_loadu_pd(p + c + 3 * stride), acc1);
+    acc1 = _mm256_fmadd_pd(v1, _mm256_loadu_pd(p + c + cols), acc1);
+    acc0 = _mm256_fmadd_pd(v2, _mm256_loadu_pd(p + c + 2 * cols), acc0);
+    acc1 = _mm256_fmadd_pd(v3, _mm256_loadu_pd(p + c + 3 * cols), acc1);
     _mm256_storeu_pd(o + c, _mm256_add_pd(acc0, acc1));
   }
   for (; c < cols; ++c) {
-    o[c] += p[c] * v[0] + p[c + stride] * v[1] + p[c + 2 * stride] * v[2] +
-            p[c + 3 * stride] * v[3];
+    o[c] += p[c] * v[0] + p[c + cols] * v[1] + p[c + 2 * cols] * v[2] +
+            p[c + 3 * cols] * v[3];
   }
 }
 
 inline void saxpy_rows2(const double* __restrict p, const double* __restrict v,
-                        double* __restrict o, std::size_t stride,
-                        std::size_t cols) {
+                        double* __restrict o, std::size_t cols) {
   const __m256d v0 = _mm256_set1_pd(v[0]), v1 = _mm256_set1_pd(v[1]);
   std::size_t c = 0;
   for (; c + 4 <= cols; c += 4) {
     __m256d acc = _mm256_loadu_pd(o + c);
     acc = _mm256_fmadd_pd(v0, _mm256_loadu_pd(p + c), acc);
-    acc = _mm256_fmadd_pd(v1, _mm256_loadu_pd(p + c + stride), acc);
+    acc = _mm256_fmadd_pd(v1, _mm256_loadu_pd(p + c + cols), acc);
     _mm256_storeu_pd(o + c, acc);
   }
-  for (; c < cols; ++c) o[c] += p[c] * v[0] + p[c + stride] * v[1];
+  for (; c < cols; ++c) o[c] += p[c] * v[0] + p[c + cols] * v[1];
 }
 
 inline void saxpy_rows1(const double* __restrict p, const double* __restrict v,
-                        double* __restrict o, std::size_t stride,
-                        std::size_t cols) {
-  (void)stride;
+                        double* __restrict o, std::size_t cols) {
   const __m256d vr = _mm256_set1_pd(v[0]);
   std::size_t c = 0;
   for (; c + 4 <= cols; c += 4) {
@@ -109,41 +102,36 @@ inline void saxpy_rows1(const double* __restrict p, const double* __restrict v,
 }
 #else
 inline void saxpy_rows8(const double* __restrict p, const double* __restrict v,
-                        double* __restrict o, std::size_t stride,
-                        std::size_t cols) {
+                        double* __restrict o, std::size_t cols) {
   const double v0 = v[0], v1 = v[1], v2 = v[2], v3 = v[3];
   const double v4 = v[4], v5 = v[5], v6 = v[6], v7 = v[7];
   for (std::size_t c = 0; c < cols; ++c) {
-    o[c] += p[c] * v0 + p[c + stride] * v1 + p[c + 2 * stride] * v2 +
-            p[c + 3 * stride] * v3 + p[c + 4 * stride] * v4 +
-            p[c + 5 * stride] * v5 + p[c + 6 * stride] * v6 +
-            p[c + 7 * stride] * v7;
+    o[c] += p[c] * v0 + p[c + cols] * v1 + p[c + 2 * cols] * v2 +
+            p[c + 3 * cols] * v3 + p[c + 4 * cols] * v4 +
+            p[c + 5 * cols] * v5 + p[c + 6 * cols] * v6 +
+            p[c + 7 * cols] * v7;
   }
 }
 
 inline void saxpy_rows4(const double* __restrict p, const double* __restrict v,
-                        double* __restrict o, std::size_t stride,
-                        std::size_t cols) {
+                        double* __restrict o, std::size_t cols) {
   const double v0 = v[0], v1 = v[1], v2 = v[2], v3 = v[3];
   for (std::size_t c = 0; c < cols; ++c) {
-    o[c] += p[c] * v0 + p[c + stride] * v1 + p[c + 2 * stride] * v2 +
-            p[c + 3 * stride] * v3;
+    o[c] += p[c] * v0 + p[c + cols] * v1 + p[c + 2 * cols] * v2 +
+            p[c + 3 * cols] * v3;
   }
 }
 
 inline void saxpy_rows2(const double* __restrict p, const double* __restrict v,
-                        double* __restrict o, std::size_t stride,
-                        std::size_t cols) {
+                        double* __restrict o, std::size_t cols) {
   const double v0 = v[0], v1 = v[1];
   for (std::size_t c = 0; c < cols; ++c) {
-    o[c] += p[c] * v0 + p[c + stride] * v1;
+    o[c] += p[c] * v0 + p[c + cols] * v1;
   }
 }
 
 inline void saxpy_rows1(const double* __restrict p, const double* __restrict v,
-                        double* __restrict o, std::size_t stride,
-                        std::size_t cols) {
-  (void)stride;
+                        double* __restrict o, std::size_t cols) {
   const double vr = v[0];
   for (std::size_t c = 0; c < cols; ++c) o[c] += p[c] * vr;
 }
@@ -152,10 +140,10 @@ inline void saxpy_rows1(const double* __restrict p, const double* __restrict v,
 void saxpy_sweep(const double* __restrict d, const double* __restrict v,
                  double* __restrict o, std::size_t rows, std::size_t cols) {
   std::size_t r = 0;
-  for (; r + 8 <= rows; r += 8) saxpy_rows8(d + r * cols, v + r, o, cols, cols);
-  for (; r + 4 <= rows; r += 4) saxpy_rows4(d + r * cols, v + r, o, cols, cols);
-  for (; r + 2 <= rows; r += 2) saxpy_rows2(d + r * cols, v + r, o, cols, cols);
-  for (; r < rows; ++r) saxpy_rows1(d + r * cols, v + r, o, cols, cols);
+  for (; r + 8 <= rows; r += 8) saxpy_rows8(d + r * cols, v + r, o, cols);
+  for (; r + 4 <= rows; r += 4) saxpy_rows4(d + r * cols, v + r, o, cols);
+  for (; r + 2 <= rows; r += 2) saxpy_rows2(d + r * cols, v + r, o, cols);
+  for (; r < rows; ++r) saxpy_rows1(d + r * cols, v + r, o, cols);
 }
 
 }  // namespace
@@ -359,58 +347,6 @@ void Matrix::transpose_times_sqnorms_into(std::span<const double> v,
       const double a0 = p0[c];
       o[c] += a0 * vr;
       s[c] += a0 * a0;
-    }
-  }
-}
-
-void Matrix::transpose_times_block(std::span<const double> rs,
-                                   std::size_t count,
-                                   std::span<double> out) const {
-  if (rs.size() != count * rows_) {
-    throw std::invalid_argument("Matrix::transpose_times_block: rs size");
-  }
-  if (out.size() != count * cols_) {
-    throw std::invalid_argument("Matrix::transpose_times_block: out size");
-  }
-  std::fill(out.begin(), out.end(), 0.0);
-  // Column tiles outer, row blocks middle, signals inner: the output
-  // tiles of every signal (count * kColTile doubles) and the current
-  // row-strip tile of A stay cache-resident, so each element of A and
-  // of out is streamed through memory exactly once.  Each output
-  // element still accumulates its row blocks in saxpy_sweep's exact
-  // 8/4/2/1 order — tiling splits the column extent, never the
-  // accumulation chain — so each output row matches a one-signal
-  // transpose_times_into bit-for-bit.
-  constexpr std::size_t kColTile = 64;
-  const double* __restrict d = data_.data();
-  const double* __restrict v = rs.data();
-  double* __restrict o = out.data();
-  for (std::size_t c0 = 0; c0 < cols_; c0 += kColTile) {
-    const std::size_t tw = std::min(kColTile, cols_ - c0);
-    std::size_t r = 0;
-    for (; r + 8 <= rows_; r += 8) {
-      const double* p = d + r * cols_ + c0;
-      for (std::size_t b = 0; b < count; ++b) {
-        saxpy_rows8(p, v + b * rows_ + r, o + b * cols_ + c0, cols_, tw);
-      }
-    }
-    for (; r + 4 <= rows_; r += 4) {
-      const double* p = d + r * cols_ + c0;
-      for (std::size_t b = 0; b < count; ++b) {
-        saxpy_rows4(p, v + b * rows_ + r, o + b * cols_ + c0, cols_, tw);
-      }
-    }
-    for (; r + 2 <= rows_; r += 2) {
-      const double* p = d + r * cols_ + c0;
-      for (std::size_t b = 0; b < count; ++b) {
-        saxpy_rows2(p, v + b * rows_ + r, o + b * cols_ + c0, cols_, tw);
-      }
-    }
-    for (; r < rows_; ++r) {
-      const double* p = d + r * cols_ + c0;
-      for (std::size_t b = 0; b < count; ++b) {
-        saxpy_rows1(p, v + b * rows_ + r, o + b * cols_ + c0, cols_, tw);
-      }
     }
   }
 }

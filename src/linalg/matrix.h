@@ -118,18 +118,6 @@ class Matrix {
                                     std::span<double> out,
                                     std::span<double> sqnorms) const;
 
-  /// Batch A^T R: `rs` holds `count` vectors of length rows(), signal-
-  /// major (vector b occupies rs[b*rows() .. b*rows()+rows())); writes
-  /// A^T r_b into row b of `out` (count x cols(), signal-major).  Each
-  /// signal's arithmetic runs in exactly the order of
-  /// transpose_times_into, so per-signal outputs are bit-identical to
-  /// one-signal sweeps; the batch form only reorders the MATRIX reads so
-  /// each row block of A is reused across all `count` signals while it
-  /// is cache-resident — the GEMM win that turns m matvecs into one
-  /// blocked pass.  Throws std::invalid_argument on size mismatch.
-  void transpose_times_block(std::span<const double> rs, std::size_t count,
-                             std::span<double> out) const;
-
   /// Gram matrix A^T A (cols x cols), computed directly.
   Matrix gram() const;
 

@@ -39,19 +39,6 @@ void LinearOperator::apply_transpose_sqnorms_into(
   column_sqnorms_into(sqnorms);
 }
 
-void LinearOperator::apply_transpose_block_into(std::span<const double> ys,
-                                                std::size_t count,
-                                                std::span<double> out) const {
-  if (ys.size() != count * rows() || out.size() != count * cols()) {
-    throw std::invalid_argument(
-        "LinearOperator::apply_transpose_block_into: size");
-  }
-  for (std::size_t b = 0; b < count; ++b) {
-    apply_transpose_into(ys.subspan(b * rows(), rows()),
-                         out.subspan(b * cols(), cols()));
-  }
-}
-
 Matrix LinearOperator::select_rows(std::span<const std::size_t> idx) const {
   for (std::size_t r : idx) {
     if (r >= rows()) throw std::out_of_range("LinearOperator::select_rows");
@@ -123,12 +110,6 @@ void DenseOperator::apply_transpose_sqnorms_into(
     std::span<const double> y, std::span<double> out,
     std::span<double> sqnorms) const {
   a_->transpose_times_sqnorms_into(y, out, sqnorms);
-}
-
-void DenseOperator::apply_transpose_block_into(std::span<const double> ys,
-                                               std::size_t count,
-                                               std::span<double> out) const {
-  a_->transpose_times_block(ys, count, out);
 }
 
 Matrix DenseOperator::select_rows(std::span<const std::size_t> idx) const {

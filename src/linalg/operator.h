@@ -61,12 +61,6 @@ class LinearOperator {
                                             std::span<double> out,
                                             std::span<double> sqnorms) const;
 
-  /// Batch A^T R over `count` signal-major vectors (ys is count x
-  /// rows(), out is count x cols()).  Default loops apply_transpose_into.
-  virtual void apply_transpose_block_into(std::span<const double> ys,
-                                          std::size_t count,
-                                          std::span<double> out) const;
-
   /// Rows `idx` of A as an idx.size() x cols() matrix (the M x N row
   /// slice a measurement plan reads).  Throws std::out_of_range for an
   /// index >= rows().  Default assembles every column; operators with a
@@ -108,9 +102,6 @@ class DenseOperator final : public LinearOperator {
   void apply_transpose_sqnorms_into(std::span<const double> y,
                                     std::span<double> out,
                                     std::span<double> sqnorms) const override;
-  void apply_transpose_block_into(std::span<const double> ys,
-                                  std::size_t count,
-                                  std::span<double> out) const override;
   Matrix select_rows(std::span<const std::size_t> idx) const override;
 
  private:

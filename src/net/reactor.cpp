@@ -108,6 +108,7 @@ bool Reactor::start(const Options& options) {
     return false;
   }
 
+  accepting_ = true;
   running_.store(true, std::memory_order_release);
   thread_ = std::thread([this] { serve(); });
   return true;
@@ -140,7 +141,7 @@ void Reactor::serve() {
   auto next_tick = Clock::now();
 
   while (running_.load(std::memory_order_acquire)) {
-    int wait_ms = conns_.empty() ? -1 : sweep_ms;
+    int wait_ms = conns_.empty() && accepting_ ? -1 : sweep_ms;
     if (ticking) wait_ms = wait_ms < 0 ? tick_ms : std::min(wait_ms, tick_ms);
     epoll_event events[64];
     const int n = ::epoll_wait(epoll_fd_, events, 64, wait_ms);
@@ -149,6 +150,9 @@ void Reactor::serve() {
       break;
     }
     if (!running_.load(std::memory_order_acquire)) break;
+    // A quiet interval: fds held elsewhere in the process may have come
+    // free since the listeners were paused (see accept_all).
+    if (n == 0) set_accepting(true);
 
     for (int i = 0; i < n; ++i) {
       const int fd = events[i].data.fd;
@@ -178,7 +182,13 @@ void Reactor::accept_all(int listen_fd) {
   for (;;) {
     const int fd =
         ::accept4(listen_fd, nullptr, nullptr, SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) return;
+    if (fd < 0) {
+      // Out of fds: the connection stays queued, and the level-triggered
+      // listener would report it again at once — a busy loop.  Stop
+      // watching the listeners until an fd may have come free.
+      if (errno == EMFILE || errno == ENFILE) set_accepting(false);
+      return;
+    }
     if (conns_.size() >= opts_.max_connections) {
       // Refuse, never queue.
       handler_.refused();
@@ -264,6 +274,15 @@ void Reactor::close_conn(Conns::iterator it, Close why) {
   ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, fd, nullptr);
   ::close(fd);
   conns_.erase(it);
+  set_accepting(true);  // the fd just freed can take a queued connection
+}
+
+void Reactor::set_accepting(bool on) {
+  if (on == accepting_) return;
+  accepting_ = on;
+  for (const int fd : {tcp_fd_, uds_fd_}) {
+    if (fd >= 0) watch(epoll_fd_, EPOLL_CTL_MOD, fd, on ? EPOLLIN : 0u);
+  }
 }
 
 }  // namespace sensedroid::net

@@ -2,11 +2,12 @@
 // (DESIGN.md §14).  Standard library + POSIX sockets only.  It owns what
 // does not depend on the protocol: loopback TCP and optional UDS
 // listeners, the serve thread and its eventfd wake, level-triggered
-// epoll, accept with refuse-at-cap, a bounded read budget per event, a
-// pending-out buffer per connection (EPOLLOUT armed only while bytes are
-// pending), the idle sweep, and a periodic tick.  Nothing on the serve
-// thread blocks.  The protocol lives in a Handler and one Session per
-// connection, all called on the serve thread.
+// epoll, accept with refuse-at-cap (paused while the process is out of
+// fds), a bounded read budget per event, a pending-out buffer per
+// connection (EPOLLOUT armed only while bytes are pending), the idle
+// sweep, and a periodic tick.  Nothing on the serve thread blocks.  The
+// protocol lives in a Handler and one Session per connection, all
+// called on the serve thread.
 #pragma once
 
 #include <atomic>
@@ -125,6 +126,8 @@ class Reactor {
   void accept_all(int listen_fd);
   void on_event(int fd, std::uint32_t events);
   void close_conn(Conns::iterator it, Close why);
+  /// Watches (or stops watching) the listeners for new connections.
+  void set_accepting(bool on);
   void close_fds();
 
   Handler& handler_;
@@ -136,6 +139,7 @@ class Reactor {
   int epoll_fd_ = -1;
   std::uint16_t tcp_port_ = 0;
   Conns conns_;  // serve thread only
+  bool accepting_ = true;  // serve thread only; false while out of fds
   std::atomic<bool> running_{false};
   std::thread thread_;
 };

@@ -1,7 +1,7 @@
-// Batch-of-signals solving and structured operators (DESIGN.md §15):
-// the blocked A^T R kernel, the fast-DCT subsampled operator against its
-// dense twin, batch-vs-sequential equality for every registry solver,
-// operator-core CHS, and the NanoCloud's size-chosen basis.
+// Structured operators (DESIGN.md §15): the fast-DCT subsampled
+// operator against its dense twin, the whitening row scaler, the
+// separable DCT basis fill, operator-core CHS, and the NanoCloud's
+// size-chosen basis.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,12 +12,8 @@
 #include <stdexcept>
 #include <vector>
 
-#include "cs/cancel.h"
 #include "cs/chs.h"
-#include "cs/greedy_variants.h"
 #include "cs/measurement.h"
-#include "cs/omp.h"
-#include "cs/solver.h"
 #include "field/generators.h"
 #include "hierarchy/nanocloud.h"
 #include "linalg/basis.h"
@@ -41,16 +37,6 @@ sl::Matrix random_matrix(std::size_t m, std::size_t n, std::uint64_t seed) {
   return a;
 }
 
-// y = A alpha for a random k-sparse alpha with magnitudes in [1, 2].
-sl::Vector sparse_signal(const sl::Matrix& a, std::size_t k, sl::Rng& rng) {
-  sl::Vector alpha(a.cols(), 0.0);
-  for (std::size_t j : rng.sample_without_replacement(a.cols(), k)) {
-    const double mag = rng.uniform(1.0, 2.0);
-    alpha[j] = rng.bernoulli(0.5) ? mag : -mag;
-  }
-  return a * alpha;
-}
-
 double max_abs_diff(std::span<const double> a, std::span<const double> b) {
   EXPECT_EQ(a.size(), b.size());
   double worst = 0.0;
@@ -62,29 +48,7 @@ double max_abs_diff(std::span<const double> a, std::span<const double> b) {
 
 }  // namespace
 
-// --------------------------------------------------- blocked kernels ----
-
-TEST(TransposeTimesBlock, BitIdenticalToPerSignalSweeps) {
-  const auto a = random_matrix(23, 41, 11);
-  sl::Rng rng(12);
-  const std::size_t bcount = 5;
-  std::vector<double> stacked(bcount * a.rows());
-  for (double& v : stacked) v = rng.gaussian();
-
-  std::vector<double> block(bcount * a.cols());
-  a.transpose_times_block(stacked, bcount, block);
-
-  for (std::size_t b = 0; b < bcount; ++b) {
-    sl::Vector one(a.cols());
-    a.transpose_times_into(
-        std::span<const double>(stacked).subspan(b * a.rows(), a.rows()),
-        one);
-    for (std::size_t j = 0; j < a.cols(); ++j) {
-      EXPECT_EQ(block[b * a.cols() + j], one[j]) << "signal " << b
-                                                 << " col " << j;
-    }
-  }
-}
+// ------------------------------------------------------ Dct2Basis ----
 
 TEST(Dct2Basis, SeparableFillMatchesKroneckerExactly) {
   // Non-square and square grids: the cached-factor fill must reproduce
@@ -226,152 +190,6 @@ TEST(SensingOperatorFactories, MatchSelectRows) {
   expect_operator_matches_dense(*op2, plan.select_rows(sl::dct2_basis(8, 12)),
                                 1e-12, 86);
   EXPECT_THROW(sc::dct2_sensing_operator(plan, 8, 11), std::invalid_argument);
-}
-
-// ------------------------------------------------ batch vs sequential ----
-
-namespace {
-
-void expect_batch_matches_sequential(
-    const std::vector<sc::SparseSolution>& batch,
-    const std::vector<sc::SparseSolution>& seq, double coef_tol,
-    const char* what) {
-  ASSERT_EQ(batch.size(), seq.size()) << what;
-  for (std::size_t b = 0; b < batch.size(); ++b) {
-    EXPECT_EQ(batch[b].support, seq[b].support) << what << " signal " << b;
-    EXPECT_LE(
-        max_abs_diff(batch[b].coefficients, seq[b].coefficients), coef_tol)
-        << what << " signal " << b;
-    EXPECT_NEAR(batch[b].residual_norm, seq[b].residual_norm,
-                coef_tol * (1.0 + seq[b].residual_norm))
-        << what << " signal " << b;
-  }
-}
-
-}  // namespace
-
-TEST(SolveBatch, EveryRegistrySolverMatchesSequentialLoop) {
-  // The acceptance bar from the batch contract: identical supports,
-  // coefficients within 1e-12 of the one-signal-at-a-time loop.  Solvers
-  // without an override run the base loop and match trivially; omp,
-  // cosamp, and iht run their blocked sweeps and must still agree.
-  const auto a = random_matrix(40, 32, 90);
-  sl::Rng rng(91);
-  std::vector<sl::Vector> ys;
-  for (std::size_t b = 0; b < 6; ++b) ys.push_back(sparse_signal(a, 5, rng));
-
-  sc::SolveContext ctx;
-  ctx.sparsity = 5;
-  for (const auto& name : sc::SolverRegistry::global().names()) {
-    auto solver = sc::SolverRegistry::global().create(name);
-    std::vector<sc::SparseSolution> seq;
-    for (const auto& y : ys) seq.push_back(solver->solve(a, y, ctx));
-    const auto batch = solver->solve_batch(a, ys, ctx);
-    expect_batch_matches_sequential(batch, seq, 1e-12, name.c_str());
-  }
-}
-
-TEST(SolveBatch, FreeFunctionBatchesMatchSequential) {
-  // Exercise the free-function layer directly, including batch sizes that
-  // straddle the Gram gate (bcount large enough to amortize A^T A).
-  const auto a = random_matrix(30, 48, 92);
-  sl::Rng rng(93);
-  for (std::size_t bcount : {std::size_t{1}, std::size_t{3}, std::size_t{17}}) {
-    std::vector<sl::Vector> ys;
-    for (std::size_t b = 0; b < bcount; ++b) {
-      ys.push_back(sparse_signal(a, 6, rng));
-    }
-    sc::OmpOptions oo;
-    oo.max_sparsity = 6;
-    std::vector<sc::SparseSolution> seq;
-    for (const auto& y : ys) seq.push_back(sc::omp_solve(a, y, oo));
-    expect_batch_matches_sequential(sc::omp_solve_batch(a, ys, oo), seq,
-                                    1e-12, "omp");
-
-    sc::CosampOptions co;
-    co.sparsity = 6;
-    seq.clear();
-    for (const auto& y : ys) seq.push_back(sc::cosamp_solve(a, y, co));
-    expect_batch_matches_sequential(sc::cosamp_solve_batch(a, ys, co), seq,
-                                    1e-12, "cosamp");
-
-    sc::IhtOptions io;
-    io.sparsity = 6;
-    seq.clear();
-    for (const auto& y : ys) seq.push_back(sc::iht_solve(a, y, io));
-    expect_batch_matches_sequential(sc::iht_solve_batch(a, ys, io), seq,
-                                    1e-12, "iht");
-  }
-}
-
-TEST(SolveBatch, ChunkBoundariesNeverChangeABit) {
-  // Each signal's batch output is a deterministic function of
-  // (a, y, opts) alone for any bcount >= 2: the Gram gate ignores batch
-  // size and the per-signal state never crosses signals.  This is the
-  // invariant exec::solve_batch_parallel leans on when it slices a
-  // workload by an arbitrary batch_size knob — re-chunking must be
-  // bitwise invisible.
-  const auto a = random_matrix(28, 44, 97);
-  sl::Rng rng(98);
-  std::vector<sl::Vector> ys;
-  for (std::size_t b = 0; b < 12; ++b) ys.push_back(sparse_signal(a, 5, rng));
-  sc::OmpOptions oo;
-  oo.max_sparsity = 5;
-
-  const auto whole = sc::omp_solve_batch(a, ys, oo);
-  ASSERT_EQ(whole.size(), ys.size());
-  std::vector<sc::SparseSolution> rechunked;
-  for (const std::size_t count : {std::size_t{4}, std::size_t{6},
-                                  std::size_t{2}}) {
-    const std::span<const sl::Vector> slice(ys.data() + rechunked.size(),
-                                            count);
-    for (auto& sol : sc::omp_solve_batch(a, slice, oo)) {
-      rechunked.push_back(std::move(sol));
-    }
-  }
-  ASSERT_EQ(rechunked.size(), whole.size());
-  for (std::size_t s = 0; s < whole.size(); ++s) {
-    SCOPED_TRACE(s);
-    EXPECT_EQ(rechunked[s].support, whole[s].support);
-    EXPECT_EQ(rechunked[s].residual_norm, whole[s].residual_norm);
-    EXPECT_EQ(rechunked[s].iterations, whole[s].iterations);
-    ASSERT_EQ(rechunked[s].coefficients.size(), whole[s].coefficients.size());
-    for (std::size_t i = 0; i < whole[s].coefficients.size(); ++i) {
-      EXPECT_EQ(rechunked[s].coefficients[i], whole[s].coefficients[i]);
-    }
-  }
-}
-
-TEST(SolveBatch, ValidatesShapesAndEmptyBatch) {
-  const auto a = random_matrix(10, 16, 94);
-  sc::OmpOptions oo;
-  EXPECT_TRUE(sc::omp_solve_batch(a, {}, oo).empty());
-  std::vector<sl::Vector> bad{sl::Vector(9, 0.0)};
-  EXPECT_THROW(sc::omp_solve_batch(a, bad, oo), std::invalid_argument);
-}
-
-TEST(SolveBatch, CancelledTokenStopsWholeBatchLikeSequential) {
-  // A token cancelled before the call: every member of the batch must
-  // come back exactly as the sequential loop would return it (empty
-  // support, zero iterations, residual = ||y||).
-  const auto a = random_matrix(24, 36, 95);
-  sl::Rng rng(96);
-  std::vector<sl::Vector> ys;
-  for (std::size_t b = 0; b < 4; ++b) ys.push_back(sparse_signal(a, 4, rng));
-
-  sc::CancelToken token;
-  token.cancel();
-  sc::SolveContext ctx;
-  ctx.sparsity = 4;
-  ctx.cancel = &token;
-  for (const char* name : {"omp", "cosamp", "iht"}) {
-    auto solver = sc::SolverRegistry::global().create(name);
-    std::vector<sc::SparseSolution> seq;
-    for (const auto& y : ys) seq.push_back(solver->solve(a, y, ctx));
-    const auto batch = solver->solve_batch(a, ys, ctx);
-    expect_batch_matches_sequential(batch, seq, 1e-12, name);
-    for (const auto& sol : batch) EXPECT_TRUE(sol.support.empty()) << name;
-  }
 }
 
 // ----------------------------------------------------- operator CHS ----
